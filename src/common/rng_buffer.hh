@@ -10,9 +10,9 @@
  * stream-equivalent to the scalar draw loops (see DESIGN.md,
  * "Columnar kernels").
  *
- * One RngBuffer per Bank (or per single-threaded consumer): the spans
- * alias the buffer's storage and are invalidated by the next fill of
- * the same kind.
+ * One RngBuffer per thread of Bank work (or per single-threaded
+ * consumer): the spans alias the buffer's storage and are
+ * invalidated by the next fill of the same kind.
  */
 
 #ifndef FRACDRAM_COMMON_RNG_BUFFER_HH

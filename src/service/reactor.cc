@@ -481,6 +481,9 @@ Reactor::handleAccept()
         // storm cannot overshoot while handoffs are in flight.
         if (server_.liveConns_.load(std::memory_order_relaxed) >=
             cfg.maxConnections) {
+            // Count first: a client that reads the BUSY frame must
+            // already see the rejection in rejectedConnections().
+            ++server_.rejected_;
             // Tell the client why before hanging up. The socket is
             // fresh, so this one small frame cannot block.
             Request synthetic;
@@ -492,7 +495,6 @@ Reactor::handleAccept()
                                               "reached"));
             writeAll(fd, out.data(), out.size(), nullptr);
             closeFd(fd);
-            ++server_.rejected_;
             telemetry::count(connCounters().rejected);
             static std::atomic<std::uint64_t> gate{0};
             if (warnTick(gate)) {

@@ -170,13 +170,13 @@ class Shard
   private:
     /**
      * One simulated device. The unique_ptr quartet is the "heavy"
-     * half - megabytes of lazily-materialized VariationMap rows -
-     * and is what eviction destroys. Everything else is the "light"
-     * half that persists across evict/refault: because chips are
-     * deterministic functions of (group, serial), rebuilding the
-     * quartet restores bit-identical silicon, and the persistent
-     * DRBG/enrollment state makes the round trip observable only as
-     * a latency blip.
+     * half - about 52 KB at 1024 columns once a couple of PUF rows
+     * are materialized (DESIGN.md section 5j) - and is what eviction
+     * destroys. Everything else is the "light" half that persists
+     * across evict/refault: because chips are deterministic
+     * functions of (group, serial), rebuilding the quartet restores
+     * bit-identical silicon, and the persistent DRBG/enrollment
+     * state makes the round trip observable only as a latency blip.
      */
     struct DeviceState
     {

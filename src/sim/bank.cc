@@ -1,8 +1,11 @@
 #include "sim/bank.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/logging.hh"
+#include "common/rng_buffer.hh"
 #include "sim/kernels.hh"
 #include "telemetry/metrics.hh"
 
@@ -70,6 +73,37 @@ bankCounters()
     return c;
 }
 
+/**
+ * Row-wide scratch, one copy per thread. A bank operation runs to
+ * completion on its caller's thread and never calls into another
+ * bank, so every bank a thread simulates can share these arrays: a
+ * shard worker serving 64 resident devices keeps one copy, not 64.
+ */
+struct Scratch
+{
+    RngBuffer rng;
+    simd::AlignedVector<double> num, den, eq;
+    simd::AlignedVector<std::uint8_t> dec;
+    simd::AlignedVector<float> vrtOrig; //!< VRT cells' pre-decay volts
+    /** Staging arrays for VariationMap::materializeRow. */
+    simd::AlignedVector<double> matAlpha, matTau, matCpl, matOff;
+    simd::AlignedVector<std::uint8_t> matStartup, matVrt;
+};
+
+Scratch &
+scratch()
+{
+    thread_local Scratch s;
+    return s;
+}
+
+/**
+ * |factor| / decayFloor at or below this leaves every multiplier in
+ * [1 - 2^-25, 1], which maps every float back to itself (DESIGN.md
+ * section 5c, rule 4).
+ */
+constexpr double kSubUlpDecay = 0x1p-27;
+
 } // namespace
 
 Bank::Bank(ModuleContext &ctx, BankAddr index)
@@ -121,34 +155,40 @@ Bank::ensureRow(RowAddr row, bool values_dead)
     store.tau.resize(cols);
     store.coupling.resize(cols);
     store.fracOff.resize(cols);
-    store.vrt.resize(cols);
     store.lastTouch = ctx_.now;
-    matStartup_.resize(cols);
-    matAlpha_.resize(cols);
-    matTau_.resize(cols);
-    matCpl_.resize(cols);
-    matOff_.resize(cols);
-    matVrt_.resize(cols);
+    Scratch &s = scratch();
+    s.matStartup.resize(cols);
+    s.matAlpha.resize(cols);
+    s.matTau.resize(cols);
+    s.matCpl.resize(cols);
+    s.matOff.resize(cols);
+    s.matVrt.resize(cols);
     // A row whose first touch is a write-resolved activation never
     // exposes its power-up contents; skip that (independent) stream.
     ctx_.variation.materializeRow(
         index_, row, cols,
-        values_dead ? nullptr : matStartup_.data(), matAlpha_.data(),
-        matTau_.data(), matCpl_.data(), matOff_.data(),
-        matVrt_.data());
+        values_dead ? nullptr : s.matStartup.data(), s.matAlpha.data(),
+        s.matTau.data(), s.matCpl.data(), s.matOff.data(),
+        s.matVrt.data());
     const float vdd = static_cast<float>(ctx_.env.vdd);
+    const double ratio = ctx_.profile.vrtFastRatio;
+    double min_tau = std::numeric_limits<double>::infinity();
     for (ColAddr c = 0; c < cols; ++c) {
         if (!values_dead)
-            store.volts[c] = matStartup_[c] ? vdd : 0.0f;
-        store.alpha[c] = static_cast<float>(matAlpha_[c]);
-        store.tau[c] = static_cast<float>(matTau_[c]);
-        store.coupling[c] = static_cast<float>(matCpl_[c]);
-        store.fracOff[c] = static_cast<float>(matOff_[c]);
-        if (matVrt_[c]) {
-            store.vrt[c] = 1;
+            store.volts[c] = s.matStartup[c] ? vdd : 0.0f;
+        store.alpha[c] = static_cast<float>(s.matAlpha[c]);
+        store.tau[c] = static_cast<float>(s.matTau[c]);
+        store.coupling[c] = static_cast<float>(s.matCpl[c]);
+        store.fracOff[c] = static_cast<float>(s.matOff[c]);
+        // Same double expressions decayEntry() divides by.
+        const double tau = static_cast<double>(store.tau[c]);
+        min_tau = std::min(min_tau, tau);
+        if (s.matVrt[c]) {
             store.vrtIdx.push_back(c);
+            min_tau = std::min(min_tau, tau * ratio);
         }
     }
+    store.decayFloor = min_tau;
     return store;
 }
 
@@ -203,33 +243,38 @@ Bank::applyLeakage(RowStore &store)
         return; // just touched: nothing decayed, skip the exp() loop
     const double factor = -dt * ctx_.env.leakageScale();
     const std::size_t nvrt = store.vrtIdx.size();
+    Scratch &s = scratch();
     // The VRT coin flip must be drawn for every VRT cell (ascending
     // column order) to keep the trial RNG stream identical to the
     // reference model, even where the voltage is already zero.
     std::span<const std::uint8_t> coins;
     if (nvrt != 0)
-        coins = rngBuf_.chance(ctx_.trialRng, nvrt, 0.5);
-    const DecayEntry &entry = decayEntry(store, factor);
+        coins = s.rng.chance(ctx_.trialRng, nvrt, 0.5);
     if (telemetry::enabled()) {
         const auto &bc = bankCounters();
         telemetry::count(bc.decay);
         telemetry::count(bc.decayCells, store.volts.size());
     }
+    store.lastTouch = ctx_.now;
+    // Sub-ulp leakage: every product would round back to its float,
+    // so building (and caching) the multipliers buys nothing.
+    if (-factor <= store.decayFloor * kSubUlpDecay)
+        return;
+    const DecayEntry &entry = decayEntry(store, factor);
     // Multiplying a zero cell by the decay factor keeps value and
     // sign, so the scalar v != 0 skip needs no branch here. VRT cells
     // are patched up from their pre-decay voltage below.
-    vrtOrig_.resize(nvrt);
+    s.vrtOrig.resize(nvrt);
     for (std::size_t k = 0; k < nvrt; ++k)
-        vrtOrig_[k] = store.volts[store.vrtIdx[k]];
+        s.vrtOrig[k] = store.volts[store.vrtIdx[k]];
     kernels::decayMultiply(store.volts.data(), entry.mul.data(),
                            store.volts.size());
     for (std::size_t k = 0; k < nvrt; ++k) {
         if (coins[k]) {
             store.volts[store.vrtIdx[k]] = static_cast<float>(
-                static_cast<double>(vrtOrig_[k]) * entry.fastMul[k]);
+                static_cast<double>(s.vrtOrig[k]) * entry.fastMul[k]);
         }
     }
-    store.lastTouch = ctx_.now;
 }
 
 void
@@ -538,30 +583,32 @@ Bank::fullActivate(bool discard_values)
 
     gatherOpenRows();
     ensureSaOffsets();
+    Scratch &sc = scratch();
     // Row-wide sense noise: same draws, same order as the scalar
     // per-column loop (nothing else draws between columns).
     const auto noise =
-        rngBuf_.gaussian(ctx_.trialRng, cols, 0.0, noise_sigma);
+        sc.rng.gaussian(ctx_.trialRng, cols, 0.0, noise_sigma);
 
-    num_.assign(cols, cb * half);
-    den_.assign(cols, cb);
+    sc.num.assign(cols, cb * half);
+    sc.den.assign(cols, cb);
     // Row-outer accumulation keeps each column's additions in the
     // same order as the scalar row-inner loop.
     for (const auto &s : open_)
-        kernels::chargeAccumulate(num_.data(), den_.data(),
+        kernels::chargeAccumulate(sc.num.data(), sc.den.data(),
                                   s.store->volts.data(),
                                   s.store->coupling.data(), s.weight,
                                   cols);
-    eq_.resize(cols);
-    kernels::equilibrium(eq_.data(), num_.data(), den_.data(), cols);
-    dec_.resize(cols);
-    kernels::senseDecide(dec_.data(), eq_.data(), saOffsets_.data(),
+    sc.eq.resize(cols);
+    kernels::equilibrium(sc.eq.data(), sc.num.data(), sc.den.data(),
+                         cols);
+    sc.dec.resize(cols);
+    kernels::senseDecide(sc.dec.data(), sc.eq.data(), saOffsets_.data(),
                          noise.data(), half, cols);
     const float vddf = static_cast<float>(vdd);
     for (const auto &s : open_)
-        kernels::driveRails(s.store->volts.data(), dec_.data(), vddf,
+        kernels::driveRails(s.store->volts.data(), sc.dec.data(), vddf,
                             cols);
-    kernels::packDecisions(rowBuffer_.mutableWords(), dec_.data(),
+    kernels::packDecisions(rowBuffer_.mutableWords(), sc.dec.data(),
                            rowIsAnti(refRow_), cols);
     for (const auto &s : open_)
         s.store->lastTouch = ctx_.now;
@@ -576,7 +623,7 @@ Bank::fullActivate(bool discard_values)
         // from the ideal comparator's sign(eq - vdd/2).
         std::uint64_t flips = 0;
         for (ColAddr c = 0; c < cols; ++c)
-            flips += (dec_[c] != 0) != (eq_[c] > half);
+            flips += (sc.dec[c] != 0) != (sc.eq[c] > half);
         telemetry::count(bc.senseFlips, flips);
     }
 }
@@ -603,6 +650,7 @@ Bank::interruptedClose()
 
     gatherOpenRows();
     ensureSaOffsets();
+    Scratch &sc = scratch();
 
     if (!multi_row) {
         // Frac path: with one open row the sense amp never engages,
@@ -611,7 +659,7 @@ Bank::interruptedClose()
         // chain as one fused pass.
         RowStore &store = *open_[0].store;
         const auto noise =
-            rngBuf_.gaussian(ctx_.trialRng, cols, 0.0, cell_noise);
+            sc.rng.gaussian(ctx_.trialRng, cols, 0.0, cell_noise);
         kernels::fracSettle(store.volts.data(), store.alpha.data(),
                             store.coupling.data(),
                             store.fracOff.data(), noise.data(),
@@ -635,15 +683,16 @@ Bank::interruptedClose()
         return;
     }
 
-    num_.assign(cols, cb * half);
-    den_.assign(cols, cb);
+    sc.num.assign(cols, cb * half);
+    sc.den.assign(cols, cb);
     for (const auto &s : open_)
-        kernels::chargeAccumulate(num_.data(), den_.data(),
+        kernels::chargeAccumulate(sc.num.data(), sc.den.data(),
                                   s.store->volts.data(),
                                   s.store->coupling.data(), s.weight,
                                   cols);
-    eq_.resize(cols);
-    kernels::equilibrium(eq_.data(), num_.data(), den_.data(), cols);
+    sc.eq.resize(cols);
+    kernels::equilibrium(sc.eq.data(), sc.num.data(), sc.den.data(),
+                         cols);
 
     // Half-m path: the per-column draw count depends on the engage
     // decision, so this loop stays scalar (the charge sharing above
@@ -653,7 +702,7 @@ Bank::interruptedClose()
     std::uint64_t engaged = 0;
     for (ColAddr c = 0; c < cols; ++c) {
         const double veq =
-            eq_[c] + ctx_.trialRng.gaussian(0, cell_noise);
+            sc.eq[c] + ctx_.trialRng.gaussian(0, cell_noise);
         // The sense amp engages when the column either lost its
         // "clean" draw or developed a large delta early (all-same
         // initial values) - see VendorProfile::halfMEngageDelta.
@@ -749,6 +798,7 @@ Bank::refreshAllRows()
     const double noise_sigma =
         ctx_.profile.saNoiseSigma * ctx_.env.noiseScale();
     ensureSaOffsets();
+    Scratch &sc = scratch();
     for (auto &[row, store] : rows_) {
         applyLeakage(store);
         const double jitter = ctx_.trialRng.lognormal(
@@ -757,20 +807,20 @@ Bank::refreshAllRows()
             ctx_.profile.roleWeight(RowRole::FirstAct) * jitter;
         const std::size_t cols = store.volts.size();
         const auto noise =
-            rngBuf_.gaussian(ctx_.trialRng, cols, 0.0, noise_sigma);
-        num_.assign(cols, cb * half);
-        den_.assign(cols, cb);
-        kernels::chargeAccumulate(num_.data(), den_.data(),
+            sc.rng.gaussian(ctx_.trialRng, cols, 0.0, noise_sigma);
+        sc.num.assign(cols, cb * half);
+        sc.den.assign(cols, cb);
+        kernels::chargeAccumulate(sc.num.data(), sc.den.data(),
                                   store.volts.data(),
                                   store.coupling.data(), role_w, cols);
-        eq_.resize(cols);
-        kernels::equilibrium(eq_.data(), num_.data(), den_.data(),
+        sc.eq.resize(cols);
+        kernels::equilibrium(sc.eq.data(), sc.num.data(), sc.den.data(),
                              cols);
-        dec_.resize(cols);
-        kernels::senseDecide(dec_.data(), eq_.data(),
+        sc.dec.resize(cols);
+        kernels::senseDecide(sc.dec.data(), sc.eq.data(),
                              saOffsets_.data(), noise.data(), half,
                              cols);
-        kernels::driveRails(store.volts.data(), dec_.data(), vddf,
+        kernels::driveRails(store.volts.data(), sc.dec.data(), vddf,
                             cols);
         store.lastTouch = ctx_.now;
     }

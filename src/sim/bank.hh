@@ -22,12 +22,17 @@
  * is first touched.
  *
  * The analog hot paths run on the columnar kernels (sim/kernels):
- * noise is drawn row-wide through the module's RngBuffer in exactly
+ * noise is drawn row-wide through a per-thread RngBuffer in exactly
  * the order the scalar reference loops drew it (DESIGN.md, "Columnar
  * kernels"), leakage decay factors are cached per row and exp factor,
  * and an activation that is resolved by a WRITE - whose sensed values
  * nothing can observe before the write overwrites them - advances the
  * RNG streams without paying for the physics.
+ *
+ * A bank keeps only state that can still be observed: cell storage,
+ * the sense-amp offsets and the FSM. Row-wide scratch (RNG batches,
+ * charge-sharing operands, materialization staging) is one copy per
+ * thread inside bank.cc, shared by every bank that thread simulates.
  */
 
 #ifndef FRACDRAM_SIM_BANK_HH
@@ -39,7 +44,6 @@
 
 #include "common/bitvec.hh"
 #include "common/rng.hh"
-#include "common/rng_buffer.hh"
 #include "common/simd/aligned.hh"
 #include "common/types.hh"
 #include "sim/environment.hh"
@@ -149,9 +153,15 @@ class Bank
         std::vector<float> tau;      //!< leakage time constant (s)
         std::vector<float> coupling; //!< static coupling multiplier
         std::vector<float> fracOff;  //!< settling-equilibrium offset
-        std::vector<std::uint8_t> vrt;
         std::vector<std::uint32_t> vrtIdx; //!< columns with vrt set
         std::vector<DecayEntry> decay; //!< tiny LRU, front = hottest
+        /**
+         * Smallest time constant any decay multiplier of this row
+         * divides by: min of tau[c] and tau[vrtIdx[k]] * vrtFastRatio.
+         * A leakage factor at most decayFloor * 2^-27 in magnitude
+         * cannot change any float (DESIGN.md section 5c, rule 4).
+         */
+        double decayFloor = 0.0;
         Seconds lastTouch = 0.0;
     };
 
@@ -248,18 +258,7 @@ class Bank
     // keeps loads from splitting lines).
     simd::AlignedVector<float> saOffsets_; //!< lazy per-column cache
     simd::AlignedVector<std::uint8_t> halfClean_;
-
-    /** @name Row-wide scratch (reused across operations) */
-    /// @{
-    RngBuffer rngBuf_;
-    std::vector<OpenState> open_;
-    simd::AlignedVector<double> num_, den_, eq_;
-    simd::AlignedVector<std::uint8_t> dec_;
-    simd::AlignedVector<float> vrtOrig_; //!< VRT cells' pre-decay voltages
-    /** Staging arrays for VariationMap::materializeRow. */
-    simd::AlignedVector<double> matAlpha_, matTau_, matCpl_, matOff_;
-    simd::AlignedVector<std::uint8_t> matStartup_, matVrt_;
-    /// @}
+    std::vector<OpenState> open_; //!< rows gathered for the current op
 };
 
 } // namespace fracdram::sim

@@ -1,6 +1,7 @@
 #include "softmc/controller.hh"
 
 #include <atomic>
+#include <unordered_map>
 
 #include "common/logging.hh"
 #include "telemetry/metrics.hh"
@@ -41,6 +42,31 @@ commandCounters()
 {
     static const CommandCounters c;
     return c;
+}
+
+/**
+ * Telemetry handles of one accountant label: the
+ * `softmc.cycles.<label>` counter and, once a trace is captured, the
+ * label's interned span name. Cached per thread, so a sequence costs
+ * one hash lookup instead of a string concatenation, a registry
+ * lookup and (when capturing) the trace sink's mutex.
+ */
+struct LabelTelemetry
+{
+    telemetry::CounterId cycles;
+    const char *traceName = nullptr;
+};
+
+LabelTelemetry &
+labelTelemetry(const std::string &label)
+{
+    thread_local std::unordered_map<std::string, LabelTelemetry> cache;
+    auto [it, inserted] = cache.try_emplace(label);
+    if (inserted) {
+        it->second.cycles = telemetry::Metrics::instance().counter(
+            "softmc.cycles." + label);
+    }
+    return it->second;
 }
 
 const char *
@@ -123,6 +149,7 @@ MemoryController::execute(const CommandSequence &seq,
     }
 
     const bool telem = telemetry::enabled();
+    const bool capture = telem && telemetry::capturing();
     std::size_t tally[7] = {};
     if (telem) {
         const auto &tc = commandCounters();
@@ -144,11 +171,11 @@ MemoryController::execute(const CommandSequence &seq,
     for (const auto &tc : seq.commands()) {
         const Cycles cycle = clock_ + tc.cycle;
         const auto &cmd = tc.cmd;
-        if (telem) {
+        if (telem)
             ++tally[static_cast<std::size_t>(cmd.kind)];
+        if (capture)
             telemetry::traceCommand(commandName(cmd.kind), cycle, 1,
                                     telemetryLane_);
-        }
         switch (cmd.kind) {
           case CommandKind::Act:
             chip_.act(cycle, cmd.bank, cmd.row);
@@ -191,9 +218,14 @@ MemoryController::execute(const CommandSequence &seq,
         telemetry::observe(tc.seqLen, len);
         // The accountant's labels double as metric names, so the
         // per-operation cycle budget shows up in every run report.
-        telemetry::countNamed("softmc.cycles." + label, len);
-        telemetry::traceCommand(telemetry::internName(label), clock_,
-                                len, telemetryLane_);
+        LabelTelemetry &lt = labelTelemetry(label);
+        telemetry::count(lt.cycles, len);
+        if (capture) {
+            if (lt.traceName == nullptr)
+                lt.traceName = telemetry::internName(label);
+            telemetry::traceCommand(lt.traceName, clock_, len,
+                                    telemetryLane_);
+        }
     }
     clock_ += len + margin;
     chip_.advanceTime(static_cast<Seconds>(len + margin) * memCycleNs *

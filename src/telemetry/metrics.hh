@@ -18,8 +18,9 @@
  *    with telemetry on or off (enforced by tests/test_golden.cc).
  *
  * Metric names are interned to dense ids; hot call sites cache the id
- * in a function-local static, dynamic-label sites (e.g. the SoftMC
- * cycle accountant) intern per call under a shared read lock.
+ * in a function-local static (the SoftMC cycle accountant caches one
+ * per label), low-rate dynamic-label sites (study scopes) intern per
+ * call under the registry mutex.
  * Histograms use power-of-two buckets (bucket k holds values whose
  * bit width is k), which covers the full u64 range in 65 buckets and
  * needs no per-histogram configuration.

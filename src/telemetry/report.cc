@@ -201,6 +201,9 @@ RunScope::RunScope(std::string run_name, std::string out_dir)
     } else {
         outDir_ = env_dir;
     }
+    // Trace events are only worth their buffers when trace.json will
+    // be written.
+    setCapture(!outDir_.empty());
 }
 
 RunScope::~RunScope()

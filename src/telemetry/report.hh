@@ -11,6 +11,7 @@
  * enables telemetry when out_dir is non-empty (or FRACDRAM_TELEMETRY
  * asks for it), and at scope exit writes <dir>/metrics.json,
  * <dir>/metrics.csv and <dir>/trace.json plus an inform() summary.
+ * Trace events are captured only when there is such a directory.
  */
 
 #ifndef FRACDRAM_TELEMETRY_REPORT_HH
@@ -42,7 +43,8 @@ void logSummary(const MetricsSnapshot &snap,
 
 /**
  * RAII run context for CLIs and benches. Construction resolves the
- * enabled state (explicit @p out_dir beats FRACDRAM_TELEMETRY);
+ * enabled state (explicit @p out_dir beats FRACDRAM_TELEMETRY) and
+ * turns trace capture on exactly when there is an output directory;
  * destruction writes reports and logs the summary when enabled.
  */
 class RunScope

@@ -1,5 +1,6 @@
 #include "telemetry/trace.hh"
 
+#include <atomic>
 #include <cstdio>
 #include <mutex>
 #include <set>
@@ -90,6 +91,8 @@ push(const Event &ev)
     buf.events.push_back(ev);
 }
 
+std::atomic<bool> gCapture{false};
+
 CounterId
 droppedCounter()
 {
@@ -99,6 +102,18 @@ droppedCounter()
 }
 
 } // namespace
+
+bool
+capturing()
+{
+    return enabled() && gCapture.load(std::memory_order_relaxed);
+}
+
+void
+setCapture(bool on)
+{
+    gCapture.store(on, std::memory_order_relaxed);
+}
 
 const char *
 internName(const std::string &name)
@@ -121,7 +136,7 @@ void
 traceSpan(const char *name, std::uint64_t start_ns,
           std::uint64_t dur_ns)
 {
-    if (!enabled())
+    if (!capturing())
         return;
     push({name, start_ns, dur_ns, Phase::Complete, Domain::Wall, 0});
 }
@@ -129,7 +144,7 @@ traceSpan(const char *name, std::uint64_t start_ns,
 void
 traceInstant(const char *name)
 {
-    if (!enabled())
+    if (!capturing())
         return;
     push({name, nowNs(), 0, Phase::Instant, Domain::Wall, 0});
 }
@@ -138,7 +153,7 @@ void
 traceCommand(const char *name, std::uint64_t cycle,
              std::uint64_t dur_cycles, std::uint32_t lane)
 {
-    if (!enabled())
+    if (!capturing())
         return;
     // 2.5 ns per memory cycle; store ns so the writer shares one
     // microsecond conversion.
@@ -150,7 +165,7 @@ void
 traceRequestSpan(const char *stage, std::uint64_t request_id,
                  std::uint64_t start_ns, std::uint64_t dur_ns)
 {
-    if (!enabled())
+    if (!capturing())
         return;
     // Fold the id into the 32-bit trace tid; a rare lane collision
     // just shares a row, it never corrupts the trace.

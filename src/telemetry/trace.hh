@@ -23,6 +23,12 @@
  * survive their thread, so flushing after a ThreadPool rebuild still
  * sees every lane.
  *
+ * Events are captured only while capturing() holds: telemetry is on
+ * *and* a trace will be written. RunScope turns capture on when it
+ * has an output directory; a process that only wants counters (the
+ * serving daemon without --telemetry-out, FRACDRAM_TELEMETRY=1) never
+ * grows the event buffers.
+ *
  * Dynamic names (sequence labels) are interned; TraceSpan/event
  * callers otherwise pass string literals.
  */
@@ -37,6 +43,15 @@
 
 namespace fracdram::telemetry
 {
+
+/**
+ * Whether trace events are recorded: enabled() and capture is on.
+ * Two relaxed loads; callers that build event names test it first.
+ */
+bool capturing();
+
+/** Turn event capture on or off (RunScope, tests). */
+void setCapture(bool on);
 
 /** Interned, stable copy of a dynamic event name. */
 const char *internName(const std::string &name);
@@ -85,15 +100,14 @@ void resetTrace();
 std::size_t traceEventCount();
 
 /**
- * RAII wall-clock span. Arms only when telemetry is enabled at
- * construction; the name must outlive the sink (string literal or
- * internName()).
+ * RAII wall-clock span. Arms only when capturing() at construction;
+ * the name must outlive the sink (string literal or internName()).
  */
 class TraceSpan
 {
   public:
     explicit TraceSpan(const char *name)
-        : name_(name), armed_(enabled()),
+        : name_(name), armed_(capturing()),
           start_(armed_ ? nowNs() : 0)
     {
     }

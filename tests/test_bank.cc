@@ -2,13 +2,29 @@
  * @file
  * White-box tests of the bank state machine and analog model: normal
  * activation, interrupted activation (Frac), multi-row activation,
- * row copy, leakage, and the timing-checker vendors.
+ * row copy, leakage (including the sub-ulp decay skip), the
+ * timing-checker vendors, and the per-thread scratch shared by every
+ * bank on a thread.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <map>
+#include <memory>
+#include <random>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "common/logging.hh"
+#include "common/sha256.hh"
 #include "common/stats.hh"
+#include "core/multi_row.hh"
+#include "puf/puf.hh"
 #include "sim/chip.hh"
+#include "softmc/controller.hh"
 
 using namespace fracdram;
 using namespace fracdram::sim;
@@ -374,4 +390,307 @@ TEST_F(BankTest, RestoreTruncationMonotoneInOpenTime)
         prev = v;
     }
     EXPECT_GT(prev, 1.45); // full restore at tRAS
+}
+
+namespace
+{
+
+/** Top of DDR3's extended temperature range: the fastest leakage. */
+constexpr double kHottestC = 95.0;
+constexpr std::uint64_t kLeakSerial = 7;
+
+/**
+ * A row's decay floor computed from the VariationMap alone: the
+ * smallest time constant a decay multiplier of the row divides by
+ * (tau as stored, and the VRT fast-state tau).
+ */
+struct LeakProfile
+{
+    BankAddr bank = 0;
+    RowAddr row = 0;
+    double floor = std::numeric_limits<double>::infinity();
+    bool leaky = false;
+    bool vrt = false;
+};
+
+double
+storedTau(const DramChip &chip, BankAddr bank, RowAddr row, ColAddr col)
+{
+    return static_cast<double>(
+        static_cast<float>(chip.variation().cellTau(bank, row, col)));
+}
+
+LeakProfile
+leakProfile(const DramChip &chip, BankAddr bank, RowAddr row)
+{
+    const auto &var = chip.variation();
+    const double ratio = chip.profile().vrtFastRatio;
+    LeakProfile p;
+    p.bank = bank;
+    p.row = row;
+    for (ColAddr c = 0; c < chip.dramParams().colsPerRow; ++c) {
+        const double tau = storedTau(chip, bank, row, c);
+        p.floor = std::min(p.floor, tau);
+        p.leaky |= var.cellIsLeaky(bank, row, c);
+        if (var.cellIsVrt(bank, row, c)) {
+            p.vrt = true;
+            p.floor = std::min(p.floor, tau * ratio);
+        }
+    }
+    return p;
+}
+
+/** Float patterns that stress the rounding argument. */
+std::vector<float>
+seedVoltages(std::size_t cols)
+{
+    std::mt19937 gen(11);
+    std::uniform_real_distribution<float> uni(0.0f, 1.5f);
+    std::vector<float> v(cols);
+    for (std::size_t c = 0; c < cols; ++c) {
+        const float pow2 = std::ldexp(1.0f, -static_cast<int>(c % 24));
+        switch (c % 6) {
+          case 0: v[c] = pow2; break; // ties land on these
+          case 1: v[c] = std::nextafter(pow2, 0.0f); break;
+          case 2: v[c] = std::nextafter(pow2, 2.0f); break;
+          case 3: v[c] = 1.5f; break;
+          case 4: v[c] = 0.0f; break;
+          default: v[c] = uni(gen); break;
+        }
+    }
+    return v;
+}
+
+/** Cell voltages of one row before and after a leakage window and
+ *  after a Frac that follows it. */
+struct WindowRun
+{
+    std::vector<float> seeded, leaked, afterFrac;
+};
+
+std::vector<float>
+rowVoltages(DramChip &chip, BankAddr bank, RowAddr row)
+{
+    std::vector<float> v(chip.dramParams().colsPerRow);
+    for (ColAddr c = 0; c < v.size(); ++c)
+        v[c] = static_cast<float>(chip.bank(bank).cellVoltage(row, c));
+    return v;
+}
+
+WindowRun
+runWindow(const LeakProfile &p, double dt)
+{
+    DramChip chip(DramGroup::B, kLeakSerial, smallParams());
+    chip.env().temperatureC = kHottestC;
+    const auto seed = seedVoltages(chip.dramParams().colsPerRow);
+    for (ColAddr c = 0; c < seed.size(); ++c)
+        chip.bank(p.bank).setCellVoltage(p.row, c, seed[c]);
+    WindowRun run;
+    run.seeded = rowVoltages(chip, p.bank, p.row);
+    chip.advanceTime(dt);
+    EXPECT_EQ(chip.now(), dt); // the bank sees exactly this window
+    run.leaked = rowVoltages(chip, p.bank, p.row);
+    // Frac: one cell-noise gaussian per column from the trial stream,
+    // so the result shows where the window left that stream.
+    Cycles t = 100;
+    chip.act(t, p.bank, p.row);
+    chip.pre(t + 1, p.bank);
+    chip.flushAll(t + 10);
+    run.afterFrac = rowVoltages(chip, p.bank, p.row);
+    return run;
+}
+
+} // namespace
+
+TEST(BankDecaySkip, SubUlpWindowsMatchExactDecay)
+{
+    // The leakiest rows of the module: smallest decay floor among
+    // rows holding a pathologically leaky cell, and among rows
+    // holding a VRT cell.
+    const DramChip probe(DramGroup::B, kLeakSerial, smallParams());
+    LeakProfile leaky, vrt;
+    for (BankAddr b = 0; b < probe.dramParams().numBanks; ++b) {
+        for (RowAddr r = 0; r < probe.dramParams().rowsPerBank(); ++r) {
+            const auto p = leakProfile(probe, b, r);
+            if (p.leaky && p.floor < leaky.floor)
+                leaky = p;
+            if (p.vrt && p.floor < vrt.floor)
+                vrt = p;
+        }
+    }
+    ASSERT_TRUE(leaky.leaky) << "no leaky cell in the module";
+    ASSERT_TRUE(vrt.vrt) << "no VRT cell in the module";
+
+    Environment hot;
+    hot.temperatureC = kHottestC;
+    const double scale = hot.leakageScale();
+    const double ratio = probe.profile().vrtFastRatio;
+    for (const LeakProfile &p : {leaky, vrt}) {
+        SCOPED_TRACE("bank " + std::to_string(p.bank) + " row " +
+                     std::to_string(p.row));
+        // Largest window the bank skips: |factor| <= floor * 2^-27.
+        const double bound = p.floor * 0x1p-27 / scale;
+        std::map<double, WindowRun> runs;
+        // Just under and just over the bound, then windows long
+        // enough to move some float (a looser skip would hide them).
+        for (const double m : {0.999, 1.001, 12.0, 64.0, 4096.0, 1e6}) {
+            SCOPED_TRACE("window " + std::to_string(m) + " x bound");
+            const double dt = m * bound;
+            const WindowRun run = runWindow(p, dt);
+            const double factor = -dt * scale;
+            bool changed = false;
+            for (ColAddr c = 0; c < run.seeded.size(); ++c) {
+                const double v = run.seeded[c];
+                const double tau = storedTau(probe, p.bank, p.row, c);
+                const float slow =
+                    static_cast<float>(v * std::exp(factor / tau));
+                const float fast = static_cast<float>(
+                    v * std::exp(factor / (tau * ratio)));
+                const float got = run.leaked[c];
+                const bool is_vrt =
+                    probe.variation().cellIsVrt(p.bank, p.row, c);
+                // A VRT cell decays at its slow or its fast tau,
+                // whichever its coin picked.
+                EXPECT_TRUE(got == slow || (is_vrt && got == fast))
+                    << "col " << c << " got " << got;
+                if (m < 1.0) {
+                    // DESIGN.md 5c rule 4: no multiplier under the
+                    // bound moves any float.
+                    EXPECT_EQ(slow, run.seeded[c]) << "col " << c;
+                    if (is_vrt) {
+                        EXPECT_EQ(fast, run.seeded[c]) << "col " << c;
+                    }
+                }
+                changed |= got != run.seeded[c];
+            }
+            if (m >= 1e6) {
+                EXPECT_TRUE(changed) << "the far window must leak";
+            }
+            runs.emplace(m, run);
+        }
+        // Skipped (under) and computed (over) decays leave the same
+        // volts and the same trial stream behind them.
+        EXPECT_EQ(runs.at(0.999).leaked, runs.at(1.001).leaked);
+        EXPECT_EQ(runs.at(0.999).afterFrac, runs.at(1.001).afterFrac);
+        if (p.vrt) {
+            // The skipped window still drew its VRT coins: without
+            // any window the Frac sees a different noise stream.
+            EXPECT_NE(runWindow(p, 0.0).afterFrac,
+                      runs.at(0.999).afterFrac);
+        }
+    }
+}
+
+namespace
+{
+
+/**
+ * One chip's serving-style session, split into steps so a thread can
+ * interleave several chips: PUF evaluations (materialization, Frac),
+ * a long leakage window with VRT cells, an interrupted multi-row
+ * activation and a refresh. Everything observed goes into a digest.
+ */
+struct ChipSession
+{
+    explicit ChipSession(std::uint64_t serial)
+        : chip(DramGroup::B, serial, sessionParams()), mc(chip, false),
+          puf(mc, 4)
+    {
+    }
+
+    static DramParams
+    sessionParams()
+    {
+        DramParams p;
+        p.colsPerRow = 256;
+        return p;
+    }
+
+    void
+    step(int k)
+    {
+        const auto cols = chip.dramParams().colsPerRow;
+        switch (k) {
+          case 0:
+            hash.updateBits(puf.evaluate({0, 8}));
+            break;
+          case 1:
+            hash.updateBits(puf.evaluate({1, 16}));
+            break;
+          case 2: {
+            BitVector bits(cols);
+            for (std::size_t c = 0; c < cols; c += 3)
+                bits.set(c, true);
+            mc.writeRow(0, 3, bits);
+            chip.advanceTime(3600.0 * 24 * 30); // real decay
+            hash.updateBits(mc.readRow(0, 3));
+            break;
+          }
+          case 3:
+            core::multiRowActivateInterrupted(mc, 0, 8, 1);
+            for (ColAddr c = 0; c < cols; ++c) {
+                const float v =
+                    static_cast<float>(chip.bank(0).cellVoltage(8, c));
+                hash.update(reinterpret_cast<const std::uint8_t *>(&v),
+                            sizeof v);
+            }
+            break;
+          case 4:
+            mc.refreshAll();
+            hash.updateBits(mc.readRow(0, 3));
+            break;
+          default:
+            hash.updateBits(puf.evaluate({0, 8}));
+            break;
+        }
+    }
+
+    static constexpr int kSteps = 6;
+
+    DramChip chip;
+    softmc::MemoryController mc;
+    puf::FracPuf puf;
+    Sha256 hash;
+};
+
+/** Run @p serials to completion, interleaving their steps. */
+std::vector<std::string>
+interleavedDigests(const std::vector<std::uint64_t> &serials)
+{
+    std::vector<std::unique_ptr<ChipSession>> sessions;
+    for (const auto serial : serials)
+        sessions.push_back(std::make_unique<ChipSession>(serial));
+    for (int k = 0; k < ChipSession::kSteps; ++k)
+        for (auto &s : sessions)
+            s->step(k);
+    std::vector<std::string> out;
+    for (auto &s : sessions)
+        out.push_back(Sha256::toHex(s->hash.finish()));
+    return out;
+}
+
+} // namespace
+
+TEST(BankScratch, ConcurrentChipsMatchSerialDigests)
+{
+    setVerbose(false);
+    const std::vector<std::uint64_t> a = {21, 22}, b = {23, 24};
+    // Serial: one chip at a time.
+    std::vector<std::string> serial;
+    for (const auto id : {21, 22, 23, 24})
+        serial.push_back(interleavedDigests({std::uint64_t(id)})[0]);
+    // Concurrent: two threads, each interleaving two chips step by
+    // step, so every thread's scratch is shared across chips while
+    // the other thread runs the same kernels.
+    std::vector<std::string> da, db;
+    std::thread ta([&] { da = interleavedDigests(a); });
+    std::thread tb([&] { db = interleavedDigests(b); });
+    ta.join();
+    tb.join();
+    EXPECT_EQ(da[0], serial[0]);
+    EXPECT_EQ(da[1], serial[1]);
+    EXPECT_EQ(db[0], serial[2]);
+    EXPECT_EQ(db[1], serial[3]);
+    // Distinct silicon: the digests really depend on the chip.
+    EXPECT_NE(serial[0], serial[1]);
 }

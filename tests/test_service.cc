@@ -15,7 +15,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <fstream>
 #include <random>
+#include <sstream>
 #include <string>
 #include <sys/socket.h>
 #include <thread>
@@ -26,6 +28,8 @@
 #include "service/net.hh"
 #include "service/server.hh"
 #include "telemetry/metrics.hh"
+#include "telemetry/report.hh"
+#include "telemetry/trace.hh"
 
 using namespace fracdram;
 using namespace fracdram::service;
@@ -223,6 +227,79 @@ TEST(Service, PufEnrollAndResponse)
     ASSERT_TRUE(c.pufResponse(6, 1, 10, bits, hamming, status, &err))
         << err;
     EXPECT_EQ(hamming, kNoHamming);
+}
+
+namespace
+{
+
+/** Enroll and verify a few challenges on two devices. */
+void
+pufBurst()
+{
+    TestServer ts(testConfig(1));
+    Client c = ts.connect();
+    Status status;
+    std::string err;
+    BitVector bits;
+    std::uint32_t hamming = 0;
+    for (const std::uint32_t dev : {5u, 6u}) {
+        for (const std::uint32_t row : {8u, 16u}) {
+            ASSERT_TRUE(c.pufEnroll(dev, 0, row, bits, status, &err))
+                << err;
+            ASSERT_TRUE(c.pufResponse(dev, 0, row, bits, hamming,
+                                      status, &err))
+                << err;
+            EXPECT_EQ(status, Status::Ok);
+        }
+    }
+}
+
+std::uint64_t
+fracCycles()
+{
+    const auto snap = telemetry::Metrics::instance().snapshot();
+    const auto it = snap.counters.find("softmc.cycles.frac");
+    return it == snap.counters.end() ? 0 : it->second;
+}
+
+} // namespace
+
+TEST(Service, TraceCapturedOnlyWhenWritten)
+{
+    const bool was_enabled = telemetry::enabled();
+    telemetry::resetTrace();
+    // fracdram_serve without --telemetry-out: counters on, no trace
+    // directory, so no event is buffered.
+    const std::uint64_t frac_before = fracCycles();
+    {
+        telemetry::RunScope run("test_serve", "");
+        telemetry::setEnabled(true);
+        pufBurst();
+    }
+    EXPECT_GT(fracCycles(), frac_before) << "counters still record";
+    EXPECT_EQ(telemetry::traceEventCount(), 0u);
+
+    // With an output directory the command lanes reach trace.json.
+    const std::string dir =
+        testing::TempDir() + "fracdram_serve_trace";
+    {
+        telemetry::RunScope run("test_serve", dir);
+        telemetry::setEnabled(true);
+        pufBurst();
+    }
+    EXPECT_GT(telemetry::traceEventCount(), 0u);
+    std::ifstream f(dir + "/trace.json");
+    std::ostringstream trace;
+    trace << f.rdbuf();
+    EXPECT_NE(trace.str().find("\"ph\":\"X\",\"pid\":2,"),
+              std::string::npos);
+    EXPECT_NE(trace.str().find("\"name\":\"ACT\""), std::string::npos);
+    EXPECT_NE(trace.str().find("\"name\":\"frac\""),
+              std::string::npos);
+
+    telemetry::setCapture(false);
+    telemetry::resetTrace();
+    telemetry::setEnabled(was_enabled);
 }
 
 TEST(Service, PufRejectsOutOfRangeChallenge)

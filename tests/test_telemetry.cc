@@ -37,12 +37,14 @@ struct TelemetryGuard
     TelemetryGuard()
     {
         setEnabled(false);
+        setCapture(false);
         Metrics::instance().reset();
         resetTrace();
     }
     ~TelemetryGuard()
     {
         setEnabled(false);
+        setCapture(false);
         Metrics::instance().reset();
         resetTrace();
         parallel::setThreads(0);
@@ -199,6 +201,7 @@ TEST(TelemetryTrace, ChromeTraceJsonSchema)
 {
     TelemetryGuard guard;
     setEnabled(true);
+    setCapture(true);
     setThreadName("test-main");
     traceSpan("alpha span", nowNs(), 1500);
     traceInstant("beta instant");

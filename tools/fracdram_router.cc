@@ -140,6 +140,8 @@ main(int argc, char **argv)
     fatal_if(cfg.backends.empty(),
              "need at least one --backend host:port[:metricsPort]");
 
+    // Metrics always (the fleet /metrics view); trace events only
+    // when --telemetry-out gives RunScope somewhere to write them.
     telemetry::RunScope telem("fracdram_router", telemetry_out);
     telemetry::setEnabled(true);
 

@@ -178,7 +178,8 @@ main(int argc, char **argv)
         setVerbose(false);
 
     // Record metrics unconditionally so STATS always has substance;
-    // RunScope writes the file reports at exit when asked to.
+    // RunScope writes the file reports at exit when asked to, and
+    // captures trace events only then.
     telemetry::RunScope telem("fracdram_serve", telemetry_out);
     telemetry::setEnabled(true);
 
