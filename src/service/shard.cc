@@ -22,7 +22,8 @@ namespace
 struct ServiceCounters
 {
     telemetry::CounterId jobs, entropyBytes, rawBits, reseeds,
-        pufEvals, busy, deviceFaults, deviceEvictions, capability;
+        pufEvals, pufMemoHits, pufMemoReplays, busy, deviceFaults,
+        deviceEvictions, capability;
     telemetry::HistogramId batchBits, queueWaitNs, reseedNs,
         poolRefillNs;
 
@@ -34,6 +35,8 @@ struct ServiceCounters
         rawBits = m.counter("service.raw_bits");
         reseeds = m.counter("service.reseeds");
         pufEvals = m.counter("service.puf_evals");
+        pufMemoHits = m.counter("service.puf_memo_hits");
+        pufMemoReplays = m.counter("service.puf_memo_replays");
         busy = m.counter("service.busy");
         deviceFaults = m.counter("service.device_faults");
         deviceEvictions = m.counter("service.device_evictions");
@@ -115,15 +118,22 @@ Shard::submit(Job &&job)
     return true;
 }
 
-void
-Shard::buildDevice(DeviceState &dev, sim::DramGroup group,
-                   std::uint64_t serial)
+sim::DramParams
+Shard::deviceParams(sim::DramGroup group) const
 {
     sim::DramParams params = sim::isDdr4(group)
                                  ? sim::DramParams::ddr4()
                                  : sim::DramParams{};
     params.colsPerRow = cfg_.colsPerRow;
-    dev.chip = std::make_unique<sim::DramChip>(group, serial, params);
+    return params;
+}
+
+void
+Shard::buildDevice(DeviceState &dev, sim::DramGroup group,
+                   std::uint64_t serial)
+{
+    dev.chip = std::make_unique<sim::DramChip>(group, serial,
+                                               deviceParams(group));
     dev.mc = std::make_unique<softmc::MemoryController>(*dev.chip,
                                                         false);
     // Capability is per-operation: QUAC-TRNG needs the four-row
@@ -144,7 +154,7 @@ Shard::evictOne()
 {
     DeviceState *victim = nullptr;
     for (auto &[id, dev] : registry_) {
-        if (!dev.resident() || dev.lastBatch == batchEpoch_)
+        if (!dev.resident || dev.lastBatch == batchEpoch_)
             continue;
         if (!victim || dev.lastUsedTick < victim->lastUsedTick)
             victim = &dev;
@@ -152,11 +162,14 @@ Shard::evictOne()
     if (!victim)
         return false;
     // Destroy in reverse construction order; the light half of the
-    // DeviceState (DRBG, pool, enrollments) stays untouched.
+    // DeviceState (DRBG, pool, enrollments) stays untouched. A
+    // deferred evaluation dies with the silicon it never ran on.
     victim->puf.reset();
     victim->trng.reset();
     victim->mc.reset();
     victim->chip.reset();
+    victim->deferred.reset();
+    victim->resident = false;
     --resident_;
     telemetry::count(counters().deviceEvictions);
     evictionsPub_.fetch_add(1, std::memory_order_relaxed);
@@ -169,17 +182,41 @@ Shard::resolveDevice(std::uint32_t id)
     DeviceState &dev = registry_[id];
     dev.lastUsedTick = ++opTick_;
     dev.lastBatch = batchEpoch_;
-    if (!dev.resident()) {
+    if (!dev.resident) {
         while (resident_ >= cfg_.maxResidentDevices && evictOne()) {
         }
-        buildDevice(dev, fleet::deviceGroup(id),
-                    cfg_.serialBase + fleet::kDeviceSerialOffset + id);
+        dev.id = id;
+        dev.resident = true;
         ++resident_;
         telemetry::count(counters().deviceFaults);
         faultsPub_.fetch_add(1, std::memory_order_relaxed);
     }
     publishRegistry();
     return &dev;
+}
+
+void
+Shard::ensureSilicon(DeviceState &dev)
+{
+    if (dev.built())
+        return;
+    buildDevice(dev, fleet::deviceGroup(dev.id),
+                cfg_.serialBase + fleet::kDeviceSerialOffset + dev.id);
+    if (!dev.deferred)
+        return;
+    // Run the evaluation a memo answered, so the silicon is in the
+    // state it would have had if it had been built on the fault. The
+    // memo rests on pristine evaluations being deterministic; check
+    // that premise on every replay.
+    const PufKey key = *dev.deferred;
+    dev.deferred.reset();
+    const BitVector bits = dev.puf->evaluate({key.first, key.second});
+    const auto it = dev.enrolled.find(key);
+    panic_if(it == dev.enrolled.end() || !(bits == it->second.memo),
+             "device %u: replayed first evaluation of (bank %u, row "
+             "%u) differs from its memo",
+             dev.id, key.first, key.second);
+    telemetry::count(counters().pufMemoReplays);
 }
 
 void
@@ -317,6 +354,7 @@ Shard::process(std::vector<Job> &batch)
         if (w.condBytes > 0)
             refillPool(*w.dev, w.condBytes);
         if (w.rawBits > 0) {
+            ensureSilicon(*w.dev);
             w.rawBytes = packBits(w.dev->trng->generate(w.rawBits));
             telemetry::count(sc.rawBits, w.rawBits);
         }
@@ -396,7 +434,8 @@ Shard::handlePuf(const Request &req)
     if (!fleet::deviceSupportsFrac(req.device))
         return capabilityError(req);
     DeviceState &dev = *resolveDevice(req.device);
-    const auto &params = dev.chip->dramParams();
+    const sim::DramParams params =
+        deviceParams(fleet::deviceGroup(req.device));
     if (req.bank >= params.numBanks ||
         req.row >= params.rowsPerBank()) {
         resp.status = Status::Error;
@@ -406,8 +445,9 @@ Shard::handlePuf(const Request &req)
                               params.rowsPerBank());
         return resp;
     }
-    const auto key = std::make_pair(req.bank, req.row);
-    const bool have = dev.enrolled.find(key) != dev.enrolled.end();
+    const PufKey key{req.bank, req.row};
+    auto it = dev.enrolled.find(key);
+    const bool have = it != dev.enrolled.end();
     if (req.type == MsgType::PufEnroll &&
         enrolledTotal_ >= cfg_.maxEnrollments && !have) {
         // device is client-chosen, so without a cap the reference
@@ -421,22 +461,35 @@ Shard::handlePuf(const Request &req)
         return resp;
     }
     telemetry::count(counters().pufEvals);
-    const puf::Challenge ch{req.bank, req.row};
-    resp.bits = dev.puf->evaluate(ch);
+    // Built now, the silicon would be pristine: this evaluation is
+    // the key's first on it.
+    const bool pristine = !dev.built() && !dev.deferred;
+    if (pristine && have && !it->second.memo.empty()) {
+        // The memo is this evaluation. Defer running it until the
+        // silicon is needed.
+        resp.bits = it->second.memo;
+        dev.deferred = key;
+        telemetry::count(counters().pufMemoHits);
+    } else {
+        ensureSilicon(dev);
+        resp.bits = dev.puf->evaluate({req.bank, req.row});
+    }
     if (req.type == MsgType::PufEnroll) {
-        if (!have)
+        if (!have) {
             ++enrolledTotal_;
-        dev.enrolled[key] = resp.bits;
+            it = dev.enrolled.emplace(key, Enrollment{}).first;
+        }
+        it->second.reference = resp.bits;
         resp.hamming = 0;
     } else {
-        const auto it = dev.enrolled.find(key);
         resp.hamming =
-            (it != dev.enrolled.end() &&
-             it->second.size() == resp.bits.size())
-                ? static_cast<std::uint32_t>(
-                      resp.bits.hammingDistance(it->second))
+            (have && it->second.reference.size() == resp.bits.size())
+                ? static_cast<std::uint32_t>(resp.bits.hammingDistance(
+                      it->second.reference))
                 : kNoHamming;
     }
+    if (pristine && it != dev.enrolled.end() && it->second.memo.empty())
+        it->second.memo = resp.bits;
     return resp;
 }
 
@@ -498,6 +551,7 @@ Shard::refillPool(DeviceState &dev, std::size_t need_bytes)
 void
 Shard::reseed(DeviceState &dev)
 {
+    ensureSilicon(dev);
     const auto &sc = counters();
     const telemetry::ScopedTimer timer(sc.reseedNs);
     panic_if(!dev.trng,

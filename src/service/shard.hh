@@ -11,12 +11,22 @@
  * Fleet mode (DESIGN.md §5j) makes the worker device-multiplexed
  * instead of device-pinned: requests carrying a device id (PUF
  * frames always, GET_ENTROPY under kFlagDeviceId) resolve through a
- * registry keyed by fleet device id. Devices materialize lazily on
+ * registry keyed by fleet device id. Devices become resident on
  * first request and live in a bounded LRU cache - eviction drops
  * only the heavy simulated silicon (chip/controller/TRNG/PUF), while
  * the light per-device state (DRBG key/counter/pool, PUF enrollment
  * references) persists, so a refault is invisible: the DRBG stream
  * continues where it left off and enrolled references still verify.
+ *
+ * A resident device builds its silicon only when an operation needs
+ * it. Rebuilt silicon replays the same trial-noise stream, so the
+ * first PUF evaluation after a build is a pure function of (device,
+ * bank, row); the registry memoizes it per enrolled key and answers
+ * a refaulted device's first evaluation from the memo. The
+ * evaluation itself is deferred: if the device is used again before
+ * eviction, ensureSilicon() builds it, replays the deferred
+ * evaluation and panics if the replay differs from the memo. Every
+ * response is bit-identical to building on every fault.
  * Requests without a device id keep hitting the shard's default
  * device, which lives outside the registry and is never evicted, so
  * a v2 client sees the exact pre-fleet behavior.
@@ -38,6 +48,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -45,6 +56,7 @@
 
 #include "service/proto.hh"
 #include "service/queue.hh"
+#include "sim/params.hh"
 #include "sim/vendor.hh"
 #include "telemetry/metrics.hh"
 
@@ -152,7 +164,7 @@ class Shard
 
     /** @name Registry introspection (any-thread; tests, /fleet) */
     /// @{
-    /** Registry devices with live silicon (default excluded). */
+    /** Resident registry devices, built or not (default excluded). */
     std::size_t residentDevices() const
     {
         return residentPub_.load(std::memory_order_relaxed);
@@ -168,15 +180,37 @@ class Shard
     /// @}
 
   private:
+    using PufKey = std::pair<std::uint32_t, std::uint32_t>; //!< bank, row
+
+    /** One enrolled PUF key. */
+    struct Enrollment
+    {
+        BitVector reference; //!< the last enrollment's response
+        /**
+         * The key's first evaluation on pristine silicon, empty until
+         * one has run. Pristine evaluations are deterministic, so it
+         * never changes once set (cols/8 bytes per key, bounded by
+         * maxEnrollments).
+         */
+        BitVector memo;
+    };
+
     /**
-     * One simulated device. The unique_ptr quartet is the "heavy"
-     * half - about 52 KB at 1024 columns once a couple of PUF rows
-     * are materialized (DESIGN.md section 5j) - and is what eviction
-     * destroys. Everything else is the "light" half that persists
-     * across evict/refault: because chips are deterministic
-     * functions of (group, serial), rebuilding the quartet restores
-     * bit-identical silicon, and the persistent DRBG/enrollment
-     * state makes the round trip observable only as a latency blip.
+     * One simulated device, in one of three states:
+     * - evicted: not resident, no silicon;
+     * - resident and unbuilt: counted against the residency cap but
+     *   holding no silicon, optionally with one deferred first
+     *   evaluation that a memo answered;
+     * - resident and built: holding silicon. A build is pristine
+     *   until its first operation runs.
+     * The unique_ptr quartet is the "heavy" half - about 52 KB at
+     * 1024 columns once a couple of PUF rows are materialized
+     * (DESIGN.md section 5j) - and is what eviction destroys.
+     * Everything else is the "light" half that persists across
+     * evict/refault: because chips are deterministic functions of
+     * (group, serial), rebuilding the quartet restores bit-identical
+     * silicon, and the persistent DRBG/enrollment state makes the
+     * round trip observable only as a latency blip.
      */
     struct DeviceState
     {
@@ -191,13 +225,16 @@ class Shard
         bool drbgSeeded = false;
         std::vector<std::uint8_t> pool;
         std::size_t poolPos = 0;
-        /** Enrolled PUF references, keyed (bank, row). */
-        std::map<std::pair<std::uint32_t, std::uint32_t>, BitVector>
-            enrolled;
+        std::map<PufKey, Enrollment> enrolled;
+        std::uint32_t id = 0;           //!< fleet id (registry only)
+        bool resident = false;          //!< counted against the cap
+        /** The memo-answered first evaluation not yet run on silicon
+         *  (only while resident and unbuilt). */
+        std::optional<PufKey> deferred;
         std::uint64_t lastUsedTick = 0; //!< LRU stamp
         std::uint64_t lastBatch = 0;    //!< eviction guard (in-batch)
 
-        bool resident() const { return chip != nullptr; }
+        bool built() const { return chip != nullptr; }
     };
 
     /** Per-batch, per-device coalesced entropy demand. */
@@ -215,9 +252,11 @@ class Shard
     Response handlePuf(const Request &req);
     Response entropyError(const Request &req) const;
     Response capabilityError(const Request &req) const;
+    sim::DramParams deviceParams(sim::DramGroup group) const;
     void buildDevice(DeviceState &dev, sim::DramGroup group,
                      std::uint64_t serial);
     DeviceState *resolveDevice(std::uint32_t id);
+    void ensureSilicon(DeviceState &dev);
     bool evictOne();
     void publishRegistry();
     void refillPool(DeviceState &dev, std::size_t need_bytes);
@@ -235,7 +274,7 @@ class Shard
     /** The pre-fleet device: serves id-less requests, never evicted. */
     DeviceState default_;
     std::unordered_map<std::uint32_t, DeviceState> registry_;
-    std::size_t resident_ = 0; //!< registry entries with silicon
+    std::size_t resident_ = 0; //!< resident registry entries
     std::size_t enrolledTotal_ = 0; //!< references across all devices
     std::uint64_t opTick_ = 0;      //!< LRU clock
     std::uint64_t batchEpoch_ = 0;  //!< process() call counter

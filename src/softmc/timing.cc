@@ -25,29 +25,41 @@ struct BankTrack
     bool open = false;
 };
 
-} // namespace
-
-std::vector<TimingViolation>
-TimingSpec::check(const CommandSequence &seq,
-                  std::uint32_t num_banks) const
+/**
+ * Walk @p seq against @p spec, calling report(cycle, describe) once
+ * per violation in cycle order. describe() formats the message, so a
+ * caller that only counts never pays for it.
+ */
+template <typename Report>
+void
+walk(const TimingSpec &spec, const CommandSequence &seq,
+     std::uint32_t num_banks, Report &&report)
 {
-    std::vector<TimingViolation> out;
     std::vector<BankTrack> banks(num_banks);
     std::optional<Cycles> lastActAnyBank;
     std::optional<Cycles> lastRefresh;
 
-    auto violate = [&out](Cycles cycle, std::string what) {
-        out.push_back({cycle, std::move(what)});
+    auto violate = [&report](Cycles cycle, const char *what) {
+        report(cycle, [what] { return std::string(what); });
     };
 
-    auto require_gap = [&](Cycles cycle, std::optional<Cycles> since,
-                           Cycles min, const char *what) {
+    auto bad_bank = [&report](Cycles cycle, const char *cmd,
+                              BankAddr bank) {
+        report(cycle, [cmd, bank] {
+            return strprintf("%s: bad bank %u", cmd, bank);
+        });
+    };
+
+    auto require_gap = [&report](Cycles cycle,
+                                 std::optional<Cycles> since, Cycles min,
+                                 const char *what) {
         if (since && cycle < *since + min) {
-            violate(cycle,
-                    strprintf("%s: gap %llu < %llu cycles", what,
-                              static_cast<unsigned long long>(
-                                  cycle - *since),
-                              static_cast<unsigned long long>(min)));
+            report(cycle, [=] {
+                return strprintf(
+                    "%s: gap %llu < %llu cycles", what,
+                    static_cast<unsigned long long>(cycle - *since),
+                    static_cast<unsigned long long>(min));
+            });
         }
     };
 
@@ -57,23 +69,23 @@ TimingSpec::check(const CommandSequence &seq,
 
         if (cmd.kind != CommandKind::Refresh &&
             cmd.kind != CommandKind::Nop) {
-            require_gap(cycle, lastRefresh, tRfc, "tRFC");
+            require_gap(cycle, lastRefresh, spec.tRfc, "tRFC");
         }
 
         switch (cmd.kind) {
           case CommandKind::Act: {
             if (cmd.bank >= num_banks) {
-                violate(cycle, strprintf("ACT: bad bank %u", cmd.bank));
+                bad_bank(cycle, "ACT", cmd.bank);
                 break;
             }
             auto &bt = banks[cmd.bank];
             if (bt.open)
                 violate(cycle, "ACT on an open bank (missing PRE)");
-            require_gap(cycle, bt.lastAct, tRc, "tRC");
-            require_gap(cycle, bt.lastPre, tRp, "tRP");
+            require_gap(cycle, bt.lastAct, spec.tRc, "tRC");
+            require_gap(cycle, bt.lastPre, spec.tRp, "tRP");
             if (lastActAnyBank && (!bt.lastAct ||
                                    *lastActAnyBank != *bt.lastAct)) {
-                require_gap(cycle, lastActAnyBank, tRrd, "tRRD");
+                require_gap(cycle, lastActAnyBank, spec.tRrd, "tRRD");
             }
             bt.lastAct = cycle;
             bt.open = true;
@@ -88,16 +100,16 @@ TimingSpec::check(const CommandSequence &seq,
                                     ? cmd.bank + 1
                                     : num_banks;
             if (lo >= num_banks) {
-                violate(cycle, strprintf("PRE: bad bank %u", cmd.bank));
+                bad_bank(cycle, "PRE", cmd.bank);
                 break;
             }
             for (BankAddr b = lo; b < hi; ++b) {
                 auto &bt = banks[b];
                 if (!bt.open)
                     continue;
-                require_gap(cycle, bt.lastAct, tRas, "tRAS");
-                require_gap(cycle, bt.lastRead, tRtp, "tRTP");
-                require_gap(cycle, bt.lastWrite, tWr, "tWR");
+                require_gap(cycle, bt.lastAct, spec.tRas, "tRAS");
+                require_gap(cycle, bt.lastRead, spec.tRtp, "tRTP");
+                require_gap(cycle, bt.lastWrite, spec.tWr, "tWR");
                 bt.lastPre = cycle;
                 bt.open = false;
             }
@@ -105,33 +117,34 @@ TimingSpec::check(const CommandSequence &seq,
           }
           case CommandKind::Read: {
             if (cmd.bank >= num_banks) {
-                violate(cycle, strprintf("RD: bad bank %u", cmd.bank));
+                bad_bank(cycle, "RD", cmd.bank);
                 break;
             }
             auto &bt = banks[cmd.bank];
             if (!bt.open)
                 violate(cycle, "RD on a closed bank");
-            require_gap(cycle, bt.lastAct, tRcd, "tRCD");
+            require_gap(cycle, bt.lastAct, spec.tRcd, "tRCD");
             bt.lastRead = cycle;
             break;
           }
           case CommandKind::Write: {
             if (cmd.bank >= num_banks) {
-                violate(cycle, strprintf("WR: bad bank %u", cmd.bank));
+                bad_bank(cycle, "WR", cmd.bank);
                 break;
             }
             auto &bt = banks[cmd.bank];
             if (!bt.open)
                 violate(cycle, "WR on a closed bank");
-            require_gap(cycle, bt.lastAct, tRcd, "tRCD");
+            require_gap(cycle, bt.lastAct, spec.tRcd, "tRCD");
             bt.lastWrite = cycle;
             break;
           }
           case CommandKind::Refresh: {
             for (BankAddr b = 0; b < num_banks; ++b) {
                 if (banks[b].open) {
-                    violate(cycle, strprintf(
-                                       "REFRESH with bank %u open", b));
+                    report(cycle, [b] {
+                        return strprintf("REFRESH with bank %u open", b);
+                    });
                 }
             }
             lastRefresh = cycle;
@@ -141,7 +154,28 @@ TimingSpec::check(const CommandSequence &seq,
             break;
         }
     }
+}
+
+} // namespace
+
+std::vector<TimingViolation>
+TimingSpec::check(const CommandSequence &seq,
+                  std::uint32_t num_banks) const
+{
+    std::vector<TimingViolation> out;
+    walk(*this, seq, num_banks, [&out](Cycles cycle, auto &&describe) {
+        out.push_back({cycle, describe()});
+    });
     return out;
+}
+
+std::size_t
+TimingSpec::countViolations(const CommandSequence &seq,
+                            std::uint32_t num_banks) const
+{
+    std::size_t n = 0;
+    walk(*this, seq, num_banks, [&n](Cycles, auto &&) { ++n; });
+    return n;
 }
 
 } // namespace fracdram::softmc

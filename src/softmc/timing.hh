@@ -54,6 +54,14 @@ struct TimingSpec
      */
     std::vector<TimingViolation> check(const CommandSequence &seq,
                                        std::uint32_t num_banks) const;
+
+    /**
+     * check(seq, num_banks).size(), without formatting a message per
+     * violation (the telemetry path counts violations on every
+     * out-of-spec sequence).
+     */
+    std::size_t countViolations(const CommandSequence &seq,
+                                std::uint32_t num_banks) const;
 };
 
 } // namespace fracdram::softmc

@@ -3,9 +3,10 @@
  * Fleet-mode tests (DESIGN.md §5j): device id packing and the
  * capability table, consistent-hash ring placement, the shard's
  * device registry (multiplexing, LRU eviction, bit-identical
- * refault, enrollment persistence, typed CAPABILITY refusals), and
- * an in-process router suite covering placement, steering,
- * enrollment replication, failover and hysteresis re-admission.
+ * refault, enrollment persistence, typed CAPABILITY refusals, the
+ * first-evaluation memo against a build-every-fault model), and an
+ * in-process router suite covering placement, steering, enrollment
+ * replication, failover and hysteresis re-admission.
  */
 
 #include <gtest/gtest.h>
@@ -16,16 +17,22 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <random>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "puf/puf.hh"
 #include "service/client.hh"
 #include "service/fleet.hh"
 #include "service/proto.hh"
 #include "service/router.hh"
 #include "service/server.hh"
 #include "service/shard.hh"
+#include "sim/chip.hh"
 #include "sim/vendor.hh"
+#include "softmc/controller.hh"
+#include "telemetry/metrics.hh"
 
 using namespace fracdram;
 using namespace std::chrono_literals;
@@ -410,6 +417,306 @@ TEST(FleetShard, IncapableGroupsGetTypedCapabilityStatus)
     // (FracPuf would refuse - and fatal - on such a chip).
     EXPECT_EQ(shard.residentDevices(), 0u);
     shard.drainAndStop();
+}
+
+// ---------------------------------------------------------------
+// First-evaluation memo
+// ---------------------------------------------------------------
+
+service::Request
+pufFor(service::MsgType type, std::uint32_t device, std::uint32_t bank,
+       std::uint32_t row)
+{
+    service::Request req;
+    req.type = type;
+    req.device = device;
+    req.bank = bank;
+    req.row = row;
+    return req;
+}
+
+/**
+ * One device life the way the registry built it before the memo: a
+ * fresh chip, controller and PUF that run every evaluation.
+ */
+struct ModelDevice
+{
+    std::unique_ptr<sim::DramChip> chip;
+    std::unique_ptr<softmc::MemoryController> mc;
+    std::unique_ptr<puf::FracPuf> puf;
+    std::uint64_t lastUsed = 0;
+
+    ModelDevice(const service::ShardConfig &cfg, std::uint32_t id)
+    {
+        const sim::DramGroup group = fleet::deviceGroup(id);
+        sim::DramParams params = sim::isDdr4(group)
+                                     ? sim::DramParams::ddr4()
+                                     : sim::DramParams{};
+        params.colsPerRow = cfg.colsPerRow;
+        chip = std::make_unique<sim::DramChip>(
+            group, cfg.serialBase + fleet::kDeviceSerialOffset + id,
+            params);
+        mc = std::make_unique<softmc::MemoryController>(*chip, false);
+        puf = std::make_unique<puf::FracPuf>(*mc, cfg.numFracs);
+    }
+
+    BitVector evaluate(std::uint32_t bank, std::uint32_t row)
+    {
+        return puf->evaluate({bank, row});
+    }
+};
+
+std::uint64_t
+counterValue(const char *name)
+{
+    const auto snap = telemetry::Metrics::instance().snapshot();
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+}
+
+/** Telemetry on for the memo counters; restores the previous state. */
+class MemoCounters
+{
+  public:
+    MemoCounters() : wasEnabled_(telemetry::enabled())
+    {
+        telemetry::setEnabled(true);
+        hits0_ = counterValue("service.puf_memo_hits");
+        replays0_ = counterValue("service.puf_memo_replays");
+    }
+    ~MemoCounters() { telemetry::setEnabled(wasEnabled_); }
+
+    std::uint64_t hits() const
+    {
+        return counterValue("service.puf_memo_hits") - hits0_;
+    }
+    std::uint64_t replays() const
+    {
+        return counterValue("service.puf_memo_replays") - replays0_;
+    }
+
+  private:
+    bool wasEnabled_;
+    std::uint64_t hits0_ = 0, replays0_ = 0;
+};
+
+TEST(FleetMemo, MatchesBuildEveryFaultModel)
+{
+    // A seeded enroll/verify stream over 12 devices with room for 3,
+    // against a plain LRU of 3 that builds fresh silicon for every
+    // device life and runs every evaluation.
+    const MemoCounters memo;
+    service::ShardConfig cfg = smallShardConfig();
+    cfg.maxResidentDevices = 3;
+    service::Shard shard(0, cfg);
+    shard.start();
+    CaptureSink sink;
+
+    static const sim::DramGroup kGroups[] = {
+        sim::DramGroup::A, sim::DramGroup::B, sim::DramGroup::C,
+        sim::DramGroup::E, sim::DramGroup::H, sim::DramGroup::M};
+    std::vector<std::uint32_t> devices;
+    for (std::uint32_t i = 0; i < 12; ++i)
+        devices.push_back(fleet::makeDeviceId(kGroups[i % 6], 40 + i));
+
+    std::map<std::uint32_t, ModelDevice> model;
+    std::map<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>,
+             BitVector>
+        references;
+    std::uint64_t tick = 0, lives = 0;
+    std::mt19937_64 rng(1409);
+    for (std::uint64_t token = 1; token <= 240; ++token) {
+        const std::uint32_t dev = devices[rng() % devices.size()];
+        const std::uint32_t bank = static_cast<std::uint32_t>(rng() % 2);
+        const std::uint32_t row =
+            3 + static_cast<std::uint32_t>(rng() % 2) * 5;
+        const bool enroll = rng() % 3 == 0;
+        const auto resp = ask(
+            shard, sink, token,
+            pufFor(enroll ? service::MsgType::PufEnroll
+                          : service::MsgType::PufResponse,
+                   dev, bank, row));
+        ASSERT_EQ(resp.status, service::Status::Ok) << resp.text;
+
+        if (model.count(dev) == 0) {
+            if (model.size() >= cfg.maxResidentDevices) {
+                auto victim = model.begin();
+                for (auto it = model.begin(); it != model.end(); ++it)
+                    if (it->second.lastUsed < victim->second.lastUsed)
+                        victim = it;
+                model.erase(victim);
+            }
+            model.emplace(dev, ModelDevice(cfg, dev));
+            ++lives;
+        }
+        ModelDevice &m = model.at(dev);
+        m.lastUsed = ++tick;
+        const BitVector bits = m.evaluate(bank, row);
+        ASSERT_EQ(resp.bits, bits) << "request " << token;
+
+        const auto key = std::make_tuple(dev, bank, row);
+        if (enroll) {
+            references[key] = bits;
+            EXPECT_EQ(resp.hamming, 0u);
+        } else if (references.count(key) != 0) {
+            EXPECT_EQ(resp.hamming,
+                      bits.hammingDistance(references.at(key)));
+        } else {
+            EXPECT_EQ(resp.hamming, service::kNoHamming);
+        }
+    }
+    EXPECT_EQ(shard.residentDevices(), model.size());
+    EXPECT_EQ(shard.deviceFaults(), lives);
+    shard.drainAndStop();
+    EXPECT_GT(memo.hits(), 0u);
+    EXPECT_GT(memo.replays(), 0u);
+}
+
+TEST(FleetMemo, SecondEvaluationReplaysTheFirst)
+{
+    // A life whose first evaluation came from the memo, then two
+    // more, must equal one chip that ran all three.
+    const MemoCounters memo;
+    service::ShardConfig cfg = smallShardConfig();
+    cfg.maxResidentDevices = 1;
+    service::Shard shard(0, cfg);
+    shard.start();
+    CaptureSink sink;
+    const std::uint32_t dev = fleet::makeDeviceId(sim::DramGroup::D, 5);
+    const std::uint32_t other = fleet::makeDeviceId(sim::DramGroup::B, 6);
+    std::uint64_t token = 0;
+
+    ask(shard, sink, ++token,
+        pufFor(service::MsgType::PufEnroll, dev, 1, 4));
+    ask(shard, sink, ++token, entropyFor(other, 8)); // evicts dev
+    const auto first = ask(
+        shard, sink, ++token,
+        pufFor(service::MsgType::PufResponse, dev, 1, 4));
+    EXPECT_EQ(memo.hits(), 1u);
+    EXPECT_EQ(memo.replays(), 0u);
+    const auto second = ask(
+        shard, sink, ++token,
+        pufFor(service::MsgType::PufResponse, dev, 0, 9));
+    EXPECT_EQ(memo.replays(), 1u);
+    const auto third = ask(
+        shard, sink, ++token,
+        pufFor(service::MsgType::PufResponse, dev, 1, 4));
+    shard.drainAndStop();
+
+    ModelDevice m(cfg, dev);
+    const BitVector b1 = m.evaluate(1, 4);
+    EXPECT_EQ(first.bits, b1);
+    EXPECT_EQ(first.hamming, 0u);
+    EXPECT_EQ(second.bits, m.evaluate(0, 9));
+    EXPECT_EQ(second.hamming, service::kNoHamming);
+    const BitVector b3 = m.evaluate(1, 4);
+    EXPECT_EQ(third.bits, b3);
+    EXPECT_EQ(third.hamming, b3.hammingDistance(b1));
+}
+
+TEST(FleetMemo, EarlyErrorsLeaveTheDeviceUnbuilt)
+{
+    // Out-of-range and table-full requests fault the device in but
+    // run nothing on it, so the evaluations after them still see
+    // pristine silicon.
+    const MemoCounters memo;
+    service::ShardConfig cfg = smallShardConfig();
+    cfg.maxResidentDevices = 1;
+    cfg.maxEnrollments = 1;
+    service::Shard shard(0, cfg);
+    shard.start();
+    CaptureSink sink;
+    const std::uint32_t dev = fleet::makeDeviceId(sim::DramGroup::G, 2);
+    const std::uint32_t other = fleet::makeDeviceId(sim::DramGroup::B, 3);
+    std::uint64_t token = 0;
+    ModelDevice life(cfg, dev);
+    const BitVector pristine = life.evaluate(0, 6);
+
+    const auto ref = ask(shard, sink, ++token,
+                         pufFor(service::MsgType::PufEnroll, dev, 0, 6));
+    EXPECT_EQ(ref.bits, pristine);
+
+    ask(shard, sink, ++token, entropyFor(other, 8)); // evicts dev
+    const auto range = ask(
+        shard, sink, ++token,
+        pufFor(service::MsgType::PufResponse, dev, 99, 6));
+    EXPECT_EQ(range.status, service::Status::Error);
+    const auto after_range = ask(
+        shard, sink, ++token,
+        pufFor(service::MsgType::PufResponse, dev, 0, 6));
+    EXPECT_EQ(after_range.bits, pristine);
+    EXPECT_EQ(after_range.hamming, 0u);
+
+    ask(shard, sink, ++token, entropyFor(other, 8)); // evicts dev
+    const auto full = ask(shard, sink, ++token,
+                          pufFor(service::MsgType::PufEnroll, dev, 1, 6));
+    EXPECT_EQ(full.status, service::Status::Error);
+    const auto after_full = ask(
+        shard, sink, ++token,
+        pufFor(service::MsgType::PufResponse, dev, 0, 6));
+    EXPECT_EQ(after_full.bits, pristine);
+    EXPECT_EQ(memo.hits(), 2u);
+
+    // The unenrolled key then builds the silicon behind the memo.
+    const auto unenrolled = ask(
+        shard, sink, ++token,
+        pufFor(service::MsgType::PufResponse, dev, 1, 6));
+    shard.drainAndStop();
+    EXPECT_EQ(memo.replays(), 1u);
+    EXPECT_EQ(unenrolled.bits, life.evaluate(1, 6));
+    EXPECT_EQ(unenrolled.hamming, service::kNoHamming);
+}
+
+TEST(FleetMemo, EntropyAfterMemoAnswerKeepsTheStream)
+{
+    // A group-B device whose first PUF answer of a life came from the
+    // memo must seed its DRBG (and stream raw output) from the same
+    // silicon state as a device that ran that evaluation.
+    const MemoCounters memo;
+    const std::uint32_t dev = fleet::makeDeviceId(sim::DramGroup::B, 9);
+    const std::uint32_t other = fleet::makeDeviceId(sim::DramGroup::C, 9);
+    const auto enroll = pufFor(service::MsgType::PufEnroll, dev, 0, 5);
+    const auto verify = pufFor(service::MsgType::PufResponse, dev, 0, 5);
+    service::Request raw = entropyFor(dev, 16);
+    raw.flags |= service::kFlagRawEntropy;
+
+    service::ShardConfig small = smallShardConfig();
+    small.maxResidentDevices = 1;
+    service::Shard pressured(0, small);
+    pressured.start();
+    CaptureSink sink1;
+    ask(pressured, sink1, 1, enroll);
+    ask(pressured, sink1, 2, entropyFor(other, 8)); // evicts dev
+    EXPECT_EQ(ask(pressured, sink1, 3, verify).hamming, 0u);
+    const auto a1 = ask(pressured, sink1, 4, entropyFor(dev, 32));
+    const auto a2 = ask(pressured, sink1, 5, entropyFor(dev, 32));
+    ask(pressured, sink1, 6, entropyFor(other, 8)); // evicts dev
+    EXPECT_EQ(ask(pressured, sink1, 7, verify).hamming, 0u);
+    const auto a3 = ask(pressured, sink1, 8, raw);
+    pressured.drainAndStop();
+    EXPECT_EQ(memo.hits(), 2u);
+    EXPECT_EQ(memo.replays(), 2u);
+
+    service::Shard calm(0, smallShardConfig());
+    calm.start();
+    CaptureSink sink2;
+    ask(calm, sink2, 1, enroll);
+    const auto b1 = ask(calm, sink2, 2, entropyFor(dev, 32));
+    const auto b2 = ask(calm, sink2, 3, entropyFor(dev, 32));
+    calm.drainAndStop();
+
+    service::Shard fresh(0, smallShardConfig());
+    fresh.start();
+    CaptureSink sink3;
+    ask(fresh, sink3, 1, enroll);
+    const auto b3 = ask(fresh, sink3, 2, raw);
+    fresh.drainAndStop();
+
+    ASSERT_EQ(a1.status, service::Status::Ok);
+    ASSERT_EQ(a3.status, service::Status::Ok);
+    EXPECT_EQ(a1.data, b1.data);
+    EXPECT_EQ(a2.data, b2.data);
+    EXPECT_EQ(a3.data, b3.data);
 }
 
 // ---------------------------------------------------------------

@@ -26,6 +26,39 @@ hasViolation(const std::vector<TimingViolation> &v, const char *what)
     return false;
 }
 
+/** countViolations() must be check().size(), message for message. */
+void
+expectCountMatchesCheck(const CommandSequence &seq)
+{
+    const TimingSpec spec = TimingSpec::ddr3();
+    EXPECT_EQ(spec.countViolations(seq, 8), spec.check(seq, 8).size());
+}
+
+/**
+ * The shape of MemoryController::readRow/writeRow: ACT, the column
+ * command at tRCD, PRE once tRAS and tRTP/tWR allow, then tRP.
+ * @p rushed issues every command one cycle after the last instead.
+ */
+CommandSequence
+rowAccessSequence(bool write, bool rushed)
+{
+    const TimingSpec spec = TimingSpec::ddr3();
+    CommandSequence seq;
+    seq.act(2, 7);
+    if (!rushed)
+        seq.idle(spec.tRcd);
+    if (write)
+        seq.write(2, BitVector(512));
+    else
+        seq.read(2);
+    if (!rushed)
+        seq.idle(spec.tRas);
+    seq.pre(2);
+    if (!rushed)
+        seq.idle(spec.tRp);
+    return seq;
+}
+
 } // namespace
 
 TEST(TimingSpec, CompliantReadFlowPasses)
@@ -119,4 +152,33 @@ TEST(TimingSpec, BackToBackActsOnDifferentBanksViolateTRrd)
     seq.act(0, 1);
     seq.act(1, 1);
     EXPECT_TRUE(hasViolation(spec.check(seq, 8), "tRRD"));
+}
+
+TEST(TimingSpec, CountViolationsMatchesCheck)
+{
+    const TimingSpec spec = TimingSpec::ddr3();
+    const auto frac = core::buildFracSequence(0, 3, 10);
+    EXPECT_GT(spec.countViolations(frac, 8), 10u);
+    expectCountMatchesCheck(frac);
+    expectCountMatchesCheck(core::buildMultiRowSequence(0, 1, 2, false));
+    expectCountMatchesCheck(core::buildRowCopySequence(0, 10, 11));
+    for (const bool write : {false, true}) {
+        EXPECT_EQ(spec.countViolations(rowAccessSequence(write, false), 8),
+                  0u);
+        EXPECT_GT(spec.countViolations(rowAccessSequence(write, true), 8),
+                  0u);
+        expectCountMatchesCheck(rowAccessSequence(write, false));
+        expectCountMatchesCheck(rowAccessSequence(write, true));
+    }
+
+    // Refresh with two banks open, then a read too soon after it.
+    CommandSequence refresh;
+    refresh.act(0, 1);
+    refresh.idle(spec.tRrd);
+    refresh.act(1, 1);
+    refresh.idle(30);
+    refresh.refresh();
+    refresh.read(0);
+    EXPECT_EQ(spec.countViolations(refresh, 8), 3u);
+    expectCountMatchesCheck(refresh);
 }
