@@ -163,6 +163,9 @@ Router::start(std::string *err)
                  backends_[i]->addr.port, cerr.c_str());
     }
 
+    // Set before any thread that renders fleetJson() starts: the
+    // loop answers HEALTH with it and the HTTP server serves /fleet.
+    running_ = true;
     if (cfg_.metricsPort >= 0) {
         http_ = std::make_unique<service::HttpServer>();
         http_->route("/metrics", [this](const service::HttpRequest &) {
@@ -192,13 +195,14 @@ Router::start(std::string *err)
             return resp;
         });
         if (!http_->start(
-                static_cast<std::uint16_t>(cfg_.metricsPort), err))
+                static_cast<std::uint16_t>(cfg_.metricsPort), err)) {
+            running_ = false;
             return false;
+        }
     }
 
     loopThread_ = std::thread(&Router::loop, this);
     proberThread_ = std::thread(&Router::proberLoop, this);
-    running_ = true;
     return true;
 }
 

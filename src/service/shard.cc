@@ -1,5 +1,6 @@
 #include "service/shard.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 
@@ -60,6 +61,10 @@ counters()
  *  asks would capture a shard for seconds. */
 constexpr std::size_t kMaxRawBytes = 4096;
 
+/** Deepest evaluation history the PUF memo records. A build replays
+ *  at most this many evaluations (about 1.5 ms at 1024 columns). */
+constexpr std::uint32_t kMemoDepth = 3;
+
 /** Whether an entropy request addresses a registry device. */
 bool
 hasDeviceId(const Request &req)
@@ -77,6 +82,8 @@ Shard::Shard(int index, const ShardConfig &cfg)
         m.gauge(strprintf("service.shard%d.queue_depth", index));
     residentGauge_ =
         m.gauge(strprintf("service.shard%d.resident_devices", index));
+    memoNodesGauge_ =
+        m.gauge(strprintf("service.shard%d.puf_memo_nodes", index));
     batchJobsHist_ =
         m.histogram(strprintf("service.shard%d.batch_jobs", index));
 }
@@ -162,13 +169,13 @@ Shard::evictOne()
     if (!victim)
         return false;
     // Destroy in reverse construction order; the light half of the
-    // DeviceState (DRBG, pool, enrollments) stays untouched. A
-    // deferred evaluation dies with the silicon it never ran on.
+    // DeviceState (DRBG, pool, enrollments, memo) stays untouched.
+    // The next life starts from pristine silicon.
     victim->puf.reset();
     victim->trng.reset();
     victim->mc.reset();
     victim->chip.reset();
-    victim->deferred.reset();
+    victim->cursor = kMemoRoot;
     victim->resident = false;
     --resident_;
     telemetry::count(counters().deviceEvictions);
@@ -200,23 +207,110 @@ Shard::ensureSilicon(DeviceState &dev)
 {
     if (dev.built())
         return;
+    panic_if(dev.cursor == kUntracked,
+             "device %u: unbuilt with an untracked life", dev.id);
     buildDevice(dev, fleet::deviceGroup(dev.id),
                 cfg_.serialBase + fleet::kDeviceSerialOffset + dev.id);
-    if (!dev.deferred)
+    // Run the evaluations the memo answered, oldest first, so the
+    // silicon is in the state it would have had if it had been built
+    // on the fault. The memo rests on those evaluations being
+    // deterministic; check that premise on every replay.
+    std::array<std::uint32_t, kMemoDepth> path{};
+    std::size_t n = 0;
+    for (std::uint32_t at = dev.cursor; at != kMemoRoot;
+         at = dev.memo[at].parent)
+        path[n++] = at;
+    while (n > 0) {
+        const MemoNode &node = dev.memo[path[--n]];
+        const BitVector bits =
+            dev.puf->evaluate({node.key.first, node.key.second});
+        panic_if(!(bits == node.bits),
+                 "device %u: replayed evaluation %u of (bank %u, row "
+                 "%u) differs from its memo",
+                 dev.id, node.depth, node.key.first, node.key.second);
+        telemetry::count(counters().pufMemoReplays);
+    }
+}
+
+void
+Shard::useSiliconForEntropy(DeviceState &dev)
+{
+    ensureSilicon(dev);
+    // The TRNG disturbs the silicon, so its state stops being a
+    // function of the life's PUF keys.
+    dev.cursor = kUntracked;
+}
+
+std::optional<std::uint32_t>
+Shard::memoChild(const std::vector<MemoNode> &memo,
+                 std::uint32_t parent, const PufKey &key)
+{
+    for (std::uint32_t i = 0; i < memo.size(); ++i)
+        if (memo[i].parent == parent && memo[i].key == key)
+            return i;
+    return std::nullopt;
+}
+
+void
+Shard::advanceCursor(DeviceState &dev, const PufKey &key,
+                     bool enrolled, const BitVector &bits)
+{
+    if (dev.cursor == kUntracked)
         return;
-    // Run the evaluation a memo answered, so the silicon is in the
-    // state it would have had if it had been built on the fault. The
-    // memo rests on pristine evaluations being deterministic; check
-    // that premise on every replay.
-    const PufKey key = *dev.deferred;
-    dev.deferred.reset();
-    const BitVector bits = dev.puf->evaluate({key.first, key.second});
-    const auto it = dev.enrolled.find(key);
-    panic_if(it == dev.enrolled.end() || !(bits == it->second.memo),
-             "device %u: replayed first evaluation of (bank %u, row "
-             "%u) differs from its memo",
-             dev.id, key.first, key.second);
-    telemetry::count(counters().pufMemoReplays);
+    const std::uint32_t depth =
+        dev.cursor == kMemoRoot ? 1 : dev.memo[dev.cursor].depth + 1;
+    // Depth-1 nodes are bounded by the enrollments themselves; deeper
+    // ones take what the enrollments leave of maxEnrollments.
+    const bool fits =
+        depth == 1 ||
+        (depth <= kMemoDepth &&
+         enrolledTotal_ + deeperNodes_ < cfg_.maxEnrollments);
+    if (!enrolled || !fits) {
+        dev.cursor = kUntracked;
+        return;
+    }
+    if (depth == 1 && memoNodes_ >= cfg_.maxEnrollments)
+        reclaimDeeperNodes();
+    dev.memo.push_back(MemoNode{dev.cursor, key, depth, bits});
+    dev.cursor = static_cast<std::uint32_t>(dev.memo.size() - 1);
+    ++memoNodes_;
+    if (depth > 1)
+        ++deeperNodes_;
+    publishRegistry();
+}
+
+void
+Shard::reclaimDeeperNodes()
+{
+    // Enrollments made after deeper nodes filled the budget: drop
+    // every deeper node of one device. A life standing on them is
+    // built (replaying them) and leaves the trie.
+    auto deep = [](const MemoNode &node) { return node.depth > 1; };
+    const auto victim =
+        std::find_if(registry_.begin(), registry_.end(),
+                     [&](const auto &entry) {
+                         return std::any_of(entry.second.memo.begin(),
+                                            entry.second.memo.end(),
+                                            deep);
+                     });
+    panic_if(victim == registry_.end(),
+             "memo over budget without deeper nodes");
+    DeviceState &dev = victim->second;
+    const std::uint32_t depth =
+        dev.cursor == kMemoRoot || dev.cursor == kUntracked
+            ? 0
+            : dev.memo[dev.cursor].depth;
+    if (depth > 1) {
+        ensureSilicon(dev);
+        dev.cursor = kUntracked;
+    }
+    const PufKey at = depth == 1 ? dev.memo[dev.cursor].key : PufKey{};
+    const std::size_t dropped = std::erase_if(dev.memo, deep);
+    memoNodes_ -= dropped;
+    deeperNodes_ -= dropped;
+    // Depth-1 nodes hang off the root; only their indices moved.
+    if (depth == 1)
+        dev.cursor = *memoChild(dev.memo, kMemoRoot, at);
 }
 
 void
@@ -225,6 +319,9 @@ Shard::publishRegistry()
     residentPub_.store(resident_, std::memory_order_relaxed);
     telemetry::setGauge(residentGauge_,
                         static_cast<std::int64_t>(resident_));
+    memoNodesPub_.store(memoNodes_, std::memory_order_relaxed);
+    telemetry::setGauge(memoNodesGauge_,
+                        static_cast<std::int64_t>(memoNodes_));
 }
 
 void
@@ -354,7 +451,7 @@ Shard::process(std::vector<Job> &batch)
         if (w.condBytes > 0)
             refillPool(*w.dev, w.condBytes);
         if (w.rawBits > 0) {
-            ensureSilicon(*w.dev);
+            useSiliconForEntropy(*w.dev);
             w.rawBytes = packBits(w.dev->trng->generate(w.rawBits));
             telemetry::count(sc.rawBits, w.rawBits);
         }
@@ -461,14 +558,14 @@ Shard::handlePuf(const Request &req)
         return resp;
     }
     telemetry::count(counters().pufEvals);
-    // Built now, the silicon would be pristine: this evaluation is
-    // the key's first on it.
-    const bool pristine = !dev.built() && !dev.deferred;
-    if (pristine && have && !it->second.memo.empty()) {
-        // The memo is this evaluation. Defer running it until the
-        // silicon is needed.
-        resp.bits = it->second.memo;
-        dev.deferred = key;
+    std::optional<std::uint32_t> child;
+    if (!dev.built())
+        child = memoChild(dev.memo, dev.cursor, key);
+    if (child) {
+        // The memo holds this evaluation of the life's history. Defer
+        // running it until the silicon is needed.
+        dev.cursor = *child;
+        resp.bits = dev.memo[*child].bits;
         telemetry::count(counters().pufMemoHits);
     } else {
         ensureSilicon(dev);
@@ -477,19 +574,19 @@ Shard::handlePuf(const Request &req)
     if (req.type == MsgType::PufEnroll) {
         if (!have) {
             ++enrolledTotal_;
-            it = dev.enrolled.emplace(key, Enrollment{}).first;
+            it = dev.enrolled.emplace(key, BitVector{}).first;
         }
-        it->second.reference = resp.bits;
+        it->second = resp.bits;
         resp.hamming = 0;
     } else {
         resp.hamming =
-            (have && it->second.reference.size() == resp.bits.size())
-                ? static_cast<std::uint32_t>(resp.bits.hammingDistance(
-                      it->second.reference))
+            (have && it->second.size() == resp.bits.size())
+                ? static_cast<std::uint32_t>(
+                      resp.bits.hammingDistance(it->second))
                 : kNoHamming;
     }
-    if (pristine && it != dev.enrolled.end() && it->second.memo.empty())
-        it->second.memo = resp.bits;
+    if (!child)
+        advanceCursor(dev, key, it != dev.enrolled.end(), resp.bits);
     return resp;
 }
 
@@ -551,7 +648,7 @@ Shard::refillPool(DeviceState &dev, std::size_t need_bytes)
 void
 Shard::reseed(DeviceState &dev)
 {
-    ensureSilicon(dev);
+    useSiliconForEntropy(dev);
     const auto &sc = counters();
     const telemetry::ScopedTimer timer(sc.reseedNs);
     panic_if(!dev.trng,

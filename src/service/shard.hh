@@ -19,14 +19,18 @@
  * continues where it left off and enrolled references still verify.
  *
  * A resident device builds its silicon only when an operation needs
- * it. Rebuilt silicon replays the same trial-noise stream, so the
- * first PUF evaluation after a build is a pure function of (device,
- * bank, row); the registry memoizes it per enrolled key and answers
- * a refaulted device's first evaluation from the memo. The
- * evaluation itself is deferred: if the device is used again before
- * eviction, ensureSilicon() builds it, replays the deferred
- * evaluation and panics if the replay differs from the memo. Every
- * response is bit-identical to building on every fault.
+ * it. Rebuilt silicon replays the same trial-noise stream, so a life
+ * that has only run PUF evaluations since its build is in a state
+ * that depends only on the ordered keys it evaluated: evaluation k
+ * of the life is a pure function of (device, key 1..k). The registry
+ * memoizes those evaluations in a per-device trie keyed by the
+ * life's evaluation history, up to three deep, and answers an
+ * unbuilt device from it while the life follows a recorded path. The
+ * evaluations themselves are deferred: when the life leaves the
+ * memo, or needs silicon for entropy, ensureSilicon() builds the
+ * device, replays the path and panics if any replayed evaluation
+ * differs from its node. Every response is bit-identical to building
+ * on every fault.
  * Requests without a device id keep hitting the shard's default
  * device, which lives outside the registry and is never evicted, so
  * a v2 client sees the exact pre-fleet behavior.
@@ -177,32 +181,51 @@ class Shard
     {
         return evictionsPub_.load(std::memory_order_relaxed);
     }
+    /** PUF memo trie nodes across all registry devices. */
+    std::size_t memoNodes() const
+    {
+        return memoNodesPub_.load(std::memory_order_relaxed);
+    }
     /// @}
 
   private:
     using PufKey = std::pair<std::uint32_t, std::uint32_t>; //!< bank, row
 
-    /** One enrolled PUF key. */
-    struct Enrollment
+    /**
+     * One node of a device's evaluation-history trie: the result of
+     * evaluating `key` on silicon that, since its build, has run
+     * exactly the evaluations on the path from the root to `parent`.
+     * Such evaluations are deterministic, so a node never changes
+     * once recorded (cols/8 bytes of bits each; the shard's node
+     * count is bounded by maxEnrollments, DESIGN.md section 5j).
+     */
+    struct MemoNode
     {
-        BitVector reference; //!< the last enrollment's response
-        /**
-         * The key's first evaluation on pristine silicon, empty until
-         * one has run. Pristine evaluations are deterministic, so it
-         * never changes once set (cols/8 bytes per key, bounded by
-         * maxEnrollments).
-         */
-        BitVector memo;
+        std::uint32_t parent; //!< node index, or kMemoRoot
+        PufKey key;
+        std::uint32_t depth; //!< evaluations on the path, this one incl.
+        BitVector bits;
     };
+
+    /** @name Cursor values besides a node index */
+    /// @{
+    /** The life has run nothing since its build (or has no build). */
+    static constexpr std::uint32_t kMemoRoot = 0xffffffffu;
+    /** The life's silicon state is no longer a path of the trie. */
+    static constexpr std::uint32_t kUntracked = 0xfffffffeu;
+    /// @}
 
     /**
      * One simulated device, in one of three states:
      * - evicted: not resident, no silicon;
      * - resident and unbuilt: counted against the residency cap but
-     *   holding no silicon, optionally with one deferred first
-     *   evaluation that a memo answered;
-     * - resident and built: holding silicon. A build is pristine
-     *   until its first operation runs.
+     *   holding no silicon. Its cursor is the root or a memo node:
+     *   the evaluations answered from the memo this life, which the
+     *   silicon has not run yet;
+     * - resident and built: holding silicon. The cursor is the trie
+     *   path the silicon has run, or kUntracked once the life ran
+     *   anything the trie does not hold (an unenrolled key, a path
+     *   too deep or over budget, a DRBG reseed or raw entropy).
      * The unique_ptr quartet is the "heavy" half - about 52 KB at
      * 1024 columns once a couple of PUF rows are materialized
      * (DESIGN.md section 5j) - and is what eviction destroys.
@@ -210,7 +233,8 @@ class Shard
      * evict/refault: because chips are deterministic functions of
      * (group, serial), rebuilding the quartet restores bit-identical
      * silicon, and the persistent DRBG/enrollment state makes the
-     * round trip observable only as a latency blip.
+     * round trip observable only as a latency blip. Eviction ends the
+     * life: the cursor returns to the root, the trie stays.
      */
     struct DeviceState
     {
@@ -225,12 +249,12 @@ class Shard
         bool drbgSeeded = false;
         std::vector<std::uint8_t> pool;
         std::size_t poolPos = 0;
-        std::map<PufKey, Enrollment> enrolled;
+        /** Enrolled keys and their last enrollment's response. */
+        std::map<PufKey, BitVector> enrolled;
+        std::vector<MemoNode> memo;     //!< evaluation-history trie
+        std::uint32_t cursor = kMemoRoot; //!< this life's place in it
         std::uint32_t id = 0;           //!< fleet id (registry only)
         bool resident = false;          //!< counted against the cap
-        /** The memo-answered first evaluation not yet run on silicon
-         *  (only while resident and unbuilt). */
-        std::optional<PufKey> deferred;
         std::uint64_t lastUsedTick = 0; //!< LRU stamp
         std::uint64_t lastBatch = 0;    //!< eviction guard (in-batch)
 
@@ -257,6 +281,13 @@ class Shard
                      std::uint64_t serial);
     DeviceState *resolveDevice(std::uint32_t id);
     void ensureSilicon(DeviceState &dev);
+    void useSiliconForEntropy(DeviceState &dev);
+    static std::optional<std::uint32_t>
+    memoChild(const std::vector<MemoNode> &memo, std::uint32_t parent,
+              const PufKey &key);
+    void advanceCursor(DeviceState &dev, const PufKey &key,
+                       bool enrolled, const BitVector &bits);
+    void reclaimDeeperNodes();
     bool evictOne();
     void publishRegistry();
     void refillPool(DeviceState &dev, std::size_t need_bytes);
@@ -276,6 +307,8 @@ class Shard
     std::unordered_map<std::uint32_t, DeviceState> registry_;
     std::size_t resident_ = 0; //!< resident registry entries
     std::size_t enrolledTotal_ = 0; //!< references across all devices
+    std::size_t memoNodes_ = 0;     //!< trie nodes across all devices
+    std::size_t deeperNodes_ = 0;   //!< ... of them at depth >= 2
     std::uint64_t opTick_ = 0;      //!< LRU clock
     std::uint64_t batchEpoch_ = 0;  //!< process() call counter
     /// @}
@@ -285,12 +318,14 @@ class Shard
     std::atomic<std::size_t> residentPub_{0};
     std::atomic<std::uint64_t> faultsPub_{0};
     std::atomic<std::uint64_t> evictionsPub_{0};
+    std::atomic<std::size_t> memoNodesPub_{0};
     /// @}
 
     /** @name Telemetry (ids interned once at construction) */
     /// @{
     telemetry::GaugeId queueDepthGauge_;
     telemetry::GaugeId residentGauge_;
+    telemetry::GaugeId memoNodesGauge_;
     telemetry::HistogramId batchJobsHist_;
     /// @}
 };

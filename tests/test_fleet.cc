@@ -4,13 +4,14 @@
  * capability table, consistent-hash ring placement, the shard's
  * device registry (multiplexing, LRU eviction, bit-identical
  * refault, enrollment persistence, typed CAPABILITY refusals, the
- * first-evaluation memo against a build-every-fault model), and an
+ * evaluation-history memo against a build-every-fault model), and an
  * in-process router suite covering placement, steering, enrollment
  * replication, failover and hysteresis re-admission.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <functional>
@@ -33,6 +34,7 @@
 #include "sim/vendor.hh"
 #include "softmc/controller.hh"
 #include "telemetry/metrics.hh"
+#include "trng/quac_trng.hh"
 
 using namespace fracdram;
 using namespace std::chrono_literals;
@@ -420,7 +422,7 @@ TEST(FleetShard, IncapableGroupsGetTypedCapabilityStatus)
 }
 
 // ---------------------------------------------------------------
-// First-evaluation memo
+// Evaluation-history memo
 // ---------------------------------------------------------------
 
 service::Request
@@ -437,14 +439,16 @@ pufFor(service::MsgType type, std::uint32_t device, std::uint32_t bank,
 
 /**
  * One device life the way the registry built it before the memo: a
- * fresh chip, controller and PUF that run every evaluation.
+ * fresh chip, controller and engines that run every operation.
  */
 struct ModelDevice
 {
     std::unique_ptr<sim::DramChip> chip;
     std::unique_ptr<softmc::MemoryController> mc;
+    std::unique_ptr<trng::QuacTrng> trng;
     std::unique_ptr<puf::FracPuf> puf;
     std::uint64_t lastUsed = 0;
+    std::size_t evaluations = 0;
 
     ModelDevice(const service::ShardConfig &cfg, std::uint32_t id)
     {
@@ -457,13 +461,73 @@ struct ModelDevice
             group, cfg.serialBase + fleet::kDeviceSerialOffset + id,
             params);
         mc = std::make_unique<softmc::MemoryController>(*chip, false);
+        if (sim::vendorProfile(group).supportsFourRow)
+            trng = std::make_unique<trng::QuacTrng>(*mc);
         puf = std::make_unique<puf::FracPuf>(*mc, cfg.numFracs);
     }
 
     BitVector evaluate(std::uint32_t bank, std::uint32_t row)
     {
+        ++evaluations;
         return puf->evaluate({bank, row});
     }
+};
+
+/**
+ * The registry the way it was before the memo: an LRU of device
+ * lives, each building fresh silicon on its fault. Requests must
+ * reach the shard one per batch, so the in-batch eviction guard
+ * never holds back a victim.
+ */
+class FleetModel
+{
+  public:
+    explicit FleetModel(const service::ShardConfig &cfg) : cfg_(cfg) {}
+
+    /** Resolve `dev` as the shard does, faulting it in if evicted. */
+    ModelDevice &touch(std::uint32_t dev)
+    {
+        if (devices_.count(dev) == 0) {
+            if (devices_.size() >= cfg_.maxResidentDevices) {
+                auto victim = devices_.begin();
+                for (auto it = devices_.begin(); it != devices_.end();
+                     ++it)
+                    if (it->second.lastUsed < victim->second.lastUsed)
+                        victim = it;
+                devices_.erase(victim);
+            }
+            devices_.emplace(dev, ModelDevice(cfg_, dev));
+            ++lives_;
+        }
+        ModelDevice &m = devices_.at(dev);
+        m.lastUsed = ++tick_;
+        return m;
+    }
+
+    BitVector evaluate(std::uint32_t dev, std::uint32_t bank,
+                       std::uint32_t row)
+    {
+        ModelDevice &m = touch(dev);
+        const BitVector bits = m.evaluate(bank, row);
+        deepest_ = std::max(deepest_, m.evaluations);
+        return bits;
+    }
+
+    std::vector<std::uint8_t> raw(std::uint32_t dev, std::size_t bytes)
+    {
+        return service::packBits(touch(dev).trng->generate(bytes * 8));
+    }
+
+    std::size_t resident() const { return devices_.size(); }
+    std::uint64_t lives() const { return lives_; }
+    /** Most evaluations any one life has run. */
+    std::size_t deepest() const { return deepest_; }
+
+  private:
+    service::ShardConfig cfg_;
+    std::map<std::uint32_t, ModelDevice> devices_;
+    std::uint64_t tick_ = 0, lives_ = 0;
+    std::size_t deepest_ = 0;
 };
 
 std::uint64_t
@@ -500,6 +564,51 @@ class MemoCounters
     std::uint64_t hits0_ = 0, replays0_ = 0;
 };
 
+/**
+ * A shard and a FleetModel fed the same requests, one per batch. An
+ * OK PUF answer must equal the model's evaluation and an OK entropy
+ * answer (raw mode only) the model's TRNG output; an error only
+ * faults the device in. The memo must stay within maxEnrollments.
+ */
+struct CheckedShard
+{
+    service::ShardConfig cfg;
+    CaptureSink sink;
+    FleetModel model;
+    service::Shard shard;
+    std::uint64_t token = 0;
+
+    explicit CheckedShard(const service::ShardConfig &c)
+        : cfg(c), model(c), shard(0, c)
+    {
+        shard.start();
+    }
+
+    service::Response run(const service::Request &req)
+    {
+        const auto resp = ask(shard, sink, ++token, req);
+        if (resp.status != service::Status::Ok)
+            model.touch(req.device);
+        else if (req.type == service::MsgType::GetEntropy)
+            EXPECT_EQ(resp.data, model.raw(req.device, req.nBytes))
+                << "request " << token;
+        else
+            EXPECT_EQ(resp.bits,
+                      model.evaluate(req.device, req.bank, req.row))
+                << "request " << token;
+        EXPECT_LE(shard.memoNodes(), cfg.maxEnrollments);
+        return resp;
+    }
+};
+
+service::Request
+rawFor(std::uint32_t device, std::uint32_t n)
+{
+    service::Request req = entropyFor(device, n);
+    req.flags |= service::kFlagRawEntropy;
+    return req;
+}
+
 TEST(FleetMemo, MatchesBuildEveryFaultModel)
 {
     // A seeded enroll/verify stream over 12 devices with room for 3,
@@ -508,9 +617,7 @@ TEST(FleetMemo, MatchesBuildEveryFaultModel)
     const MemoCounters memo;
     service::ShardConfig cfg = smallShardConfig();
     cfg.maxResidentDevices = 3;
-    service::Shard shard(0, cfg);
-    shard.start();
-    CaptureSink sink;
+    CheckedShard s(cfg);
 
     static const sim::DramGroup kGroups[] = {
         sim::DramGroup::A, sim::DramGroup::B, sim::DramGroup::C,
@@ -519,55 +626,36 @@ TEST(FleetMemo, MatchesBuildEveryFaultModel)
     for (std::uint32_t i = 0; i < 12; ++i)
         devices.push_back(fleet::makeDeviceId(kGroups[i % 6], 40 + i));
 
-    std::map<std::uint32_t, ModelDevice> model;
     std::map<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>,
              BitVector>
         references;
-    std::uint64_t tick = 0, lives = 0;
     std::mt19937_64 rng(1409);
-    for (std::uint64_t token = 1; token <= 240; ++token) {
+    for (int i = 0; i < 240; ++i) {
         const std::uint32_t dev = devices[rng() % devices.size()];
         const std::uint32_t bank = static_cast<std::uint32_t>(rng() % 2);
         const std::uint32_t row =
             3 + static_cast<std::uint32_t>(rng() % 2) * 5;
         const bool enroll = rng() % 3 == 0;
-        const auto resp = ask(
-            shard, sink, token,
+        const auto resp = s.run(
             pufFor(enroll ? service::MsgType::PufEnroll
                           : service::MsgType::PufResponse,
                    dev, bank, row));
         ASSERT_EQ(resp.status, service::Status::Ok) << resp.text;
 
-        if (model.count(dev) == 0) {
-            if (model.size() >= cfg.maxResidentDevices) {
-                auto victim = model.begin();
-                for (auto it = model.begin(); it != model.end(); ++it)
-                    if (it->second.lastUsed < victim->second.lastUsed)
-                        victim = it;
-                model.erase(victim);
-            }
-            model.emplace(dev, ModelDevice(cfg, dev));
-            ++lives;
-        }
-        ModelDevice &m = model.at(dev);
-        m.lastUsed = ++tick;
-        const BitVector bits = m.evaluate(bank, row);
-        ASSERT_EQ(resp.bits, bits) << "request " << token;
-
         const auto key = std::make_tuple(dev, bank, row);
         if (enroll) {
-            references[key] = bits;
+            references[key] = resp.bits;
             EXPECT_EQ(resp.hamming, 0u);
         } else if (references.count(key) != 0) {
             EXPECT_EQ(resp.hamming,
-                      bits.hammingDistance(references.at(key)));
+                      resp.bits.hammingDistance(references.at(key)));
         } else {
             EXPECT_EQ(resp.hamming, service::kNoHamming);
         }
     }
-    EXPECT_EQ(shard.residentDevices(), model.size());
-    EXPECT_EQ(shard.deviceFaults(), lives);
-    shard.drainAndStop();
+    EXPECT_EQ(s.shard.residentDevices(), s.model.resident());
+    EXPECT_EQ(s.shard.deviceFaults(), s.model.lives());
+    s.shard.drainAndStop();
     EXPECT_GT(memo.hits(), 0u);
     EXPECT_GT(memo.replays(), 0u);
 }
@@ -717,6 +805,188 @@ TEST(FleetMemo, EntropyAfterMemoAnswerKeepsTheStream)
     EXPECT_EQ(a1.data, b1.data);
     EXPECT_EQ(a2.data, b2.data);
     EXPECT_EQ(a3.data, b3.data);
+}
+
+TEST(FleetMemo, DeepLivesMatchTheModel)
+{
+    // Five devices with room for three: lives run past the memo's
+    // depth, so answers come from every level of the trie and builds
+    // replay whole paths. A memo of first evaluations answers at most
+    // one request per fault; this one must answer more.
+    const MemoCounters memo;
+    service::ShardConfig cfg = smallShardConfig();
+    cfg.maxResidentDevices = 3;
+    CheckedShard s(cfg);
+    std::vector<std::uint32_t> devices;
+    for (std::uint32_t i = 0; i < 5; ++i)
+        devices.push_back(fleet::makeDeviceId(
+            i % 2 ? sim::DramGroup::E : sim::DramGroup::B, 60 + i));
+    static const std::uint32_t kRows[] = {2, 7};
+    for (std::uint32_t dev : devices)
+        for (std::uint32_t row : kRows)
+            s.run(pufFor(service::MsgType::PufEnroll, dev, 0, row));
+
+    std::mt19937_64 rng(1511);
+    for (int i = 0; i < 400; ++i) {
+        const std::uint32_t dev = devices[rng() % devices.size()];
+        const std::uint32_t row = kRows[rng() % 2];
+        const bool enroll = rng() % 8 == 0;
+        const auto resp = s.run(pufFor(
+            enroll ? service::MsgType::PufEnroll
+                   : service::MsgType::PufResponse,
+            dev, 0, row));
+        ASSERT_EQ(resp.status, service::Status::Ok) << resp.text;
+    }
+    s.shard.drainAndStop();
+    EXPECT_GE(s.model.deepest(), 4u);
+    EXPECT_EQ(s.shard.deviceFaults(), s.model.lives());
+    EXPECT_GT(memo.hits(), s.shard.deviceFaults());
+    EXPECT_GT(memo.replays(), 0u);
+}
+
+TEST(FleetMemo, ThreeAnswersThenABuild)
+{
+    // A life that follows a recorded path three deep is answered
+    // without silicon; its fourth evaluation builds the device,
+    // replays all three and must equal one chip that ran all four.
+    const MemoCounters memo;
+    service::ShardConfig cfg = smallShardConfig();
+    cfg.maxResidentDevices = 1;
+    service::Shard shard(0, cfg);
+    shard.start();
+    CaptureSink sink;
+    const std::uint32_t dev = fleet::makeDeviceId(sim::DramGroup::F, 4);
+    const std::uint32_t other = fleet::makeDeviceId(sim::DramGroup::B, 4);
+    const auto a = pufFor(service::MsgType::PufResponse, dev, 0, 3);
+    const auto b = pufFor(service::MsgType::PufResponse, dev, 1, 8);
+    std::uint64_t token = 0;
+
+    const auto ref_a = ask(shard, sink, ++token,
+                           pufFor(service::MsgType::PufEnroll, dev, 0, 3));
+    const auto ref_b = ask(shard, sink, ++token,
+                           pufFor(service::MsgType::PufEnroll, dev, 1, 8));
+    ask(shard, sink, ++token, a);
+    EXPECT_EQ(shard.memoNodes(), 3u); // a, a-b, a-b-a
+    ask(shard, sink, ++token, entropyFor(other, 8)); // evicts dev
+
+    const auto r1 = ask(shard, sink, ++token, a);
+    const auto r2 = ask(shard, sink, ++token, b);
+    const auto r3 = ask(shard, sink, ++token, a);
+    EXPECT_EQ(memo.hits(), 3u);
+    EXPECT_EQ(memo.replays(), 0u);
+    const auto r4 = ask(shard, sink, ++token, b);
+    shard.drainAndStop();
+    EXPECT_EQ(memo.hits(), 3u);
+    EXPECT_EQ(memo.replays(), 3u);
+    EXPECT_EQ(shard.memoNodes(), 3u); // depth 4 is never recorded
+
+    ModelDevice m(cfg, dev);
+    EXPECT_EQ(r1.bits, m.evaluate(0, 3));
+    EXPECT_EQ(r2.bits, m.evaluate(1, 8));
+    EXPECT_EQ(r3.bits, m.evaluate(0, 3));
+    EXPECT_EQ(r4.bits, m.evaluate(1, 8));
+    EXPECT_EQ(r1.hamming, 0u);
+    EXPECT_EQ(r2.hamming, 0u);
+    EXPECT_EQ(r3.hamming, r3.bits.hammingDistance(ref_a.bits));
+    EXPECT_EQ(r4.hamming, r4.bits.hammingDistance(ref_b.bits));
+}
+
+TEST(FleetMemo, EntropyUntracksTheLife)
+{
+    // Raw entropy runs the TRNG on the silicon, so the life's state
+    // stops being a path of the trie: its later evaluations run live,
+    // match a chip that ran the same operations, and record nothing.
+    const MemoCounters memo;
+    service::ShardConfig cfg = smallShardConfig();
+    cfg.maxResidentDevices = 1;
+    CheckedShard s(cfg);
+    const std::uint32_t dev = fleet::makeDeviceId(sim::DramGroup::B, 12);
+    const std::uint32_t other = fleet::makeDeviceId(sim::DramGroup::C, 12);
+    const auto a = pufFor(service::MsgType::PufResponse, dev, 0, 5);
+    const auto b = pufFor(service::MsgType::PufResponse, dev, 1, 6);
+
+    s.run(pufFor(service::MsgType::PufEnroll, dev, 0, 5));
+    s.run(pufFor(service::MsgType::PufEnroll, dev, 1, 6));
+    EXPECT_EQ(s.shard.memoNodes(), 2u); // a, a-b
+    s.run(rawFor(other, 16)); // evicts dev
+
+    s.run(a);
+    EXPECT_EQ(memo.hits(), 1u);
+    s.run(rawFor(dev, 16)); // builds and replays a
+    EXPECT_EQ(memo.replays(), 1u);
+    s.run(b); // not the recorded a-b
+    s.run(a);
+    EXPECT_EQ(memo.hits(), 1u);
+    EXPECT_EQ(s.shard.memoNodes(), 2u);
+
+    s.run(rawFor(other, 16)); // evicts dev; the next life is tracked
+    s.run(a);
+    s.run(b);
+    s.shard.drainAndStop();
+    EXPECT_EQ(memo.hits(), 3u);
+    EXPECT_EQ(memo.replays(), 1u);
+}
+
+TEST(FleetMemo, BudgetBoundsTheNodes)
+{
+    // maxEnrollments = 4 over three devices with room for two.
+    // Deeper nodes take only what the enrollments leave; once the
+    // enrollments fill the budget, a new depth-1 node reclaims the
+    // deeper ones - here those under an unbuilt life, which must be
+    // built and replayed first.
+    const MemoCounters memo;
+    service::ShardConfig cfg = smallShardConfig();
+    cfg.maxResidentDevices = 2;
+    cfg.maxEnrollments = 4;
+    CheckedShard s(cfg);
+    const std::uint32_t d1 = fleet::makeDeviceId(sim::DramGroup::A, 21);
+    const std::uint32_t d2 = fleet::makeDeviceId(sim::DramGroup::G, 22);
+    const std::uint32_t d3 = fleet::makeDeviceId(sim::DramGroup::H, 23);
+    const std::uint32_t d4 = fleet::makeDeviceId(sim::DramGroup::I, 24);
+    using service::MsgType;
+    auto verify = [&](std::uint32_t dev, std::uint32_t bank,
+                      std::uint32_t row) {
+        return s.run(pufFor(MsgType::PufResponse, dev, bank, row));
+    };
+    // An out-of-range challenge faults a device in (or refreshes its
+    // LRU stamp) and runs nothing on it.
+    auto touch = [&](std::uint32_t dev) {
+        EXPECT_EQ(verify(dev, 99, 0).status, service::Status::Error);
+    };
+
+    s.run(pufFor(MsgType::PufEnroll, d1, 0, 4));
+    s.run(pufFor(MsgType::PufEnroll, d1, 1, 9));
+    verify(d1, 0, 4);
+    EXPECT_EQ(s.shard.memoNodes(), 3u); // a, a-b, a-b-a
+    touch(d2);
+    touch(d3); // evicts d1
+    verify(d1, 0, 4);
+    verify(d1, 1, 9);
+    EXPECT_EQ(memo.hits(), 2u); // d1 is unbuilt at a-b
+
+    s.run(pufFor(MsgType::PufEnroll, d2, 0, 4)); // evicts d3
+    s.run(pufFor(MsgType::PufEnroll, d2, 1, 9));
+    EXPECT_EQ(s.shard.memoNodes(), 4u); // no room for d2's a-b
+
+    touch(d1);
+    touch(d3); // evicts d2
+    touch(d1);
+    verify(d2, 1, 9); // evicts d3; records d2's b, reclaims d1's two
+    EXPECT_EQ(memo.replays(), 2u);
+    EXPECT_EQ(s.shard.memoNodes(), 3u);
+    verify(d1, 0, 4); // built by the reclaim, now untracked
+    verify(d2, 0, 4); // no room for b-a
+    EXPECT_EQ(memo.hits(), 2u);
+    EXPECT_EQ(s.shard.memoNodes(), 3u);
+
+    touch(d3); // evicts d1
+    touch(d4); // evicts d2
+    verify(d2, 1, 9);
+    verify(d1, 0, 4);
+    s.shard.drainAndStop();
+    EXPECT_EQ(memo.hits(), 4u);
+    EXPECT_EQ(memo.replays(), 2u);
+    EXPECT_EQ(s.shard.memoNodes(), 3u);
 }
 
 // ---------------------------------------------------------------

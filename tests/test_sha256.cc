@@ -110,7 +110,8 @@ padSingleBlock(const std::uint8_t *msg, std::size_t len,
 {
     ASSERT_LE(len, 55u);
     std::memset(block, 0, 64);
-    std::memcpy(block, msg, len);
+    if (len > 0) // an empty message may come with a null pointer
+        std::memcpy(block, msg, len);
     block[len] = 0x80;
     const std::uint64_t bits = len * 8;
     for (int i = 0; i < 8; ++i)
@@ -157,7 +158,8 @@ TEST(Sha256Test, HashSingleBlocksDrbgShape)
     for (int i = 0; i < 32; ++i)
         msg[i] = static_cast<std::uint8_t>(i * 7 + 1);
     for (int c = 0; c < 8; ++c)
-        msg[32 + c] = static_cast<std::uint8_t>(0x1234 >> (8 * c));
+        msg[32 + c] =
+            static_cast<std::uint8_t>(std::uint64_t{0x1234} >> (8 * c));
     std::uint8_t block[64];
     padSingleBlock(msg, sizeof(msg), block);
     Sha256::Digest out;
