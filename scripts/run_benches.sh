@@ -12,22 +12,6 @@
 #                     regex, e.g. --filter 'trng|nist'
 #   --out <file>      output JSON path (same as the second positional
 #                     argument; the flag wins if both are given)
-#   --isa-ab <N>      run N interleaved scalar-vs-dispatched pairs of
-#                     the serving A/B (default 3; 0 disables). Each
-#                     pair starts a fresh daemon with FRACDRAM_ISA=
-#                     scalar and one with the runtime-dispatched
-#                     default, alternating so drift hits both arms,
-#                     and records the loadgen req/s of each arm plus
-#                     the mean speedup as the "bench_simd_ab" entry.
-#   --forensics-ab <N> run N interleaved forensics-off/-on pairs of
-#                     the serving A/B (default 3; 0 disables). The
-#                     "on" arm runs with a postmortem dir, which arms
-#                     the full forensics stack (metrics history,
-#                     flight recorder fatal-buffer refresh, watchdog
-#                     stall detector); the "off" arm runs bare. The
-#                     "bench_forensics_ab" entry records per-arm
-#                     req/s, medians, and the median overhead delta
-#                     in percent - the instrumentation budget.
 #   --router-ab <N>   run N interleaved direct-vs-router pairs of the
 #                     serving A/B per payload point (default 5; 0
 #                     disables). The routed arm puts a one-backend
@@ -72,8 +56,6 @@ set -euo pipefail
 
 filter=""
 out_flag=""
-isa_ab=3
-forensics_ab=3
 router_ab=5
 positional=()
 while [[ $# -gt 0 ]]; do
@@ -88,23 +70,13 @@ while [[ $# -gt 0 ]]; do
             out_flag="$2"
             shift 2
             ;;
-        --isa-ab)
-            [[ $# -ge 2 ]] || { echo "error: --isa-ab needs a count" >&2; exit 1; }
-            isa_ab="$2"
-            shift 2
-            ;;
-        --forensics-ab)
-            [[ $# -ge 2 ]] || { echo "error: --forensics-ab needs a count" >&2; exit 1; }
-            forensics_ab="$2"
-            shift 2
-            ;;
         --router-ab)
             [[ $# -ge 2 ]] || { echo "error: --router-ab needs a count" >&2; exit 1; }
             router_ab="$2"
             shift 2
             ;;
         --help|-h)
-            sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//'
+            sed -n '2,25p' "$0" | sed 's/^# \{0,1\}//'
             exit 0
             ;;
         --*)
@@ -329,17 +301,14 @@ PY
     records+=("  {\"bench\": \"bench_simd\", \"exit_code\": ${simd_rc}, \"isa\": ${isa_info}, \"ns_per_elem\": ${tiers_json}}")
 fi
 
-# One daemon + one timed loadgen burst; honours FRACDRAM_ISA from the
-# caller's environment. Any arguments after the duration are passed
-# through as extra fracdram_serve flags (the forensics A/B uses this
-# to arm one side). Prints the loadgen req/s (0 on failure).
+# One daemon + one timed loadgen burst, the direct arm of the router
+# A/B. Prints the loadgen req/s (0 on failure).
 service_rps() {
     local duration="$1" pf lj sl pid port rps rc=0
-    shift
     pf="$(mktemp)" lj="$(mktemp)" sl="$(mktemp)"
     rm -f "${pf}"
     "${serve_bin}" --port 0 --shards 4 --port-file "${pf}" \
-        --reactors "${FRACDRAM_BENCH_REACTORS:-0}" --quiet "$@" \
+        --reactors "${FRACDRAM_BENCH_REACTORS:-0}" --quiet \
         > "${sl}" 2>&1 &
     pid=$!
     for _ in $(seq 1 100); do
@@ -363,40 +332,6 @@ service_rps() {
     [[ "${rc}" -eq 0 && -n "${rps}" ]] || rps=0
     echo "${rps}"
 }
-
-# Interleaved scalar-vs-dispatched serving A/B. The dispatch tier is
-# resolved once per process, so the arm is chosen by the daemon's
-# environment at start; arms alternate scalar-first so clock drift and
-# cache warmup bias both arms equally.
-if [[ "${isa_ab}" -gt 0 && -x "${serve_bin}" && -x "${loadgen_bin}" ]] &&
-    { [[ -z "${filter}" ]] || grep -qE "${filter}" <<< "bench_simd_ab"; }; then
-    echo "timing bench_simd_ab (${isa_ab} interleaved scalar/dispatch pairs)" >&2
-    scalar_rps=()
-    dispatch_rps=()
-    ab_rc=0
-    for _ in $(seq 1 "${isa_ab}"); do
-        s="$(FRACDRAM_ISA=scalar service_rps 2)"
-        d="$( (unset FRACDRAM_ISA; service_rps 2) )"
-        echo "  scalar ${s} req/s, dispatch ${d} req/s" >&2
-        [[ "${s}" == "0" || "${d}" == "0" ]] && ab_rc=1
-        scalar_rps+=("${s}")
-        dispatch_rps+=("${d}")
-    done
-    if [[ "${ab_rc}" -ne 0 ]]; then
-        echo "error: bench_simd_ab had failed bursts" >&2
-        failures=$((failures + 1))
-    fi
-    scalar_list="$(IFS=,; echo "${scalar_rps[*]}")"
-    dispatch_list="$(IFS=,; echo "${dispatch_rps[*]}")"
-    read -r scalar_mean dispatch_mean speedup < <(awk \
-        -v s="${scalar_list}" -v d="${dispatch_list}" 'BEGIN {
-            ns = split(s, sa, ","); nd = split(d, da, ",");
-            for (i = 1; i <= ns; i++) sm += sa[i] / ns;
-            for (i = 1; i <= nd; i++) dm += da[i] / nd;
-            printf "%.1f %.1f %.3f\n", sm, dm, (sm > 0 ? dm / sm : 0);
-        }')
-    records+=("  {\"bench\": \"bench_simd_ab\", \"exit_code\": ${ab_rc}, \"pairs\": ${isa_ab}, \"scalar_rps\": [${scalar_list}], \"dispatch_rps\": [${dispatch_list}], \"scalar_rps_mean\": ${scalar_mean}, \"dispatch_rps_mean\": ${dispatch_mean}, \"dispatch_speedup\": ${speedup}}")
-fi
 
 # Like service_rps, but with a one-backend fracdram_router between
 # loadgen and the daemon: same daemon flags, same burst shape, one
@@ -446,52 +381,6 @@ router_rps() {
     [[ "${rc}" -eq 0 && -n "${rps}" ]] || rps=0
     echo "${rps}"
 }
-
-# Interleaved forensics-off/-on serving A/B: same daemon and burst,
-# one arm additionally carrying the full forensics stack (postmortem
-# dir -> metrics history ticks, per-tick fatal-buffer re-serialization,
-# watchdog stall scanning). The median delta is the headline number:
-# the cost of always-on black-box instrumentation.
-if [[ "${forensics_ab}" -gt 0 && -x "${serve_bin}" && -x "${loadgen_bin}" ]] &&
-    { [[ -z "${filter}" ]] || grep -qE "${filter}" <<< "bench_forensics_ab"; }; then
-    echo "timing bench_forensics_ab (${forensics_ab} interleaved off/on pairs)" >&2
-    ab_pm_dir="$(mktemp -d)"
-    off_rps=()
-    on_rps=()
-    fab_rc=0
-    for _ in $(seq 1 "${forensics_ab}"); do
-        f_off="$(service_rps 2)"
-        f_on="$(service_rps 2 --postmortem-dir "${ab_pm_dir}")"
-        echo "  forensics off ${f_off} req/s, on ${f_on} req/s" >&2
-        [[ "${f_off}" == "0" || "${f_on}" == "0" ]] && fab_rc=1
-        off_rps+=("${f_off}")
-        on_rps+=("${f_on}")
-    done
-    rm -rf "${ab_pm_dir}"
-    if [[ "${fab_rc}" -ne 0 ]]; then
-        echo "error: bench_forensics_ab had failed bursts" >&2
-        failures=$((failures + 1))
-    fi
-    off_list="$(IFS=,; echo "${off_rps[*]}")"
-    on_list="$(IFS=,; echo "${on_rps[*]}")"
-    read -r off_median on_median delta_pct < <(awk \
-        -v o="${off_list}" -v n="${on_list}" 'BEGIN {
-            no = split(o, oa, ","); nn = split(n, na, ",");
-            # insertion sort: N is single digits
-            for (i = 2; i <= no; i++)
-                for (j = i; j > 1 && oa[j-1] > oa[j]; j--)
-                    { t = oa[j]; oa[j] = oa[j-1]; oa[j-1] = t; }
-            for (i = 2; i <= nn; i++)
-                for (j = i; j > 1 && na[j-1] > na[j]; j--)
-                    { t = na[j]; na[j] = na[j-1]; na[j-1] = t; }
-            om = (no % 2) ? oa[(no+1)/2] : (oa[no/2] + oa[no/2+1]) / 2;
-            nm = (nn % 2) ? na[(nn+1)/2] : (na[nn/2] + na[nn/2+1]) / 2;
-            printf "%.1f %.1f %.2f\n", om, nm,
-                (om > 0 ? (om - nm) / om * 100 : 0);
-        }')
-    echo "  medians: off ${off_median}, on ${on_median}, overhead ${delta_pct}%" >&2
-    records+=("  {\"bench\": \"bench_forensics_ab\", \"exit_code\": ${fab_rc}, \"pairs\": ${forensics_ab}, \"forensics_off_rps\": [${off_list}], \"forensics_on_rps\": [${on_list}], \"forensics_off_rps_median\": ${off_median}, \"forensics_on_rps_median\": ${on_median}, \"median_overhead_pct\": ${delta_pct}}")
-fi
 
 # Interleaved direct-vs-router serving A/B: the routed arm adds one
 # fracdram_router hop (decode, ring lookup, re-frame, second socket

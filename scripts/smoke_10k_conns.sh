@@ -13,16 +13,24 @@
 #      a reset, and the daemon log must carry the clean-shutdown
 #      marker.
 #
+# Given a router binary, the storm goes through fracdram_router
+# (--max-conns n+64) in front of the daemon instead ("routed" run,
+# ctest "smoke_10k_conns_routed"): the router must hold the 10k
+# client fds, and it is the process that gets SIGTERM and must drain
+# cleanly; the daemon is stopped the same way afterwards.
+#
 # The storm runs in a separate process so the 10k client fds and the
 # 10k server fds live under separate RLIMIT_NOFILE budgets.
 #
-# Usage: smoke_10k_conns.sh <fracdram_serve> <fracdram_loadgen> [n_conns]
+# Usage: smoke_10k_conns.sh <fracdram_serve> <fracdram_loadgen>
+#            [n_conns] [fracdram_router]
 
 set -euo pipefail
 
 serve_bin="${1:?usage: smoke_10k_conns.sh <serve_bin> <loadgen_bin> [n]}"
 loadgen_bin="${2:?usage: smoke_10k_conns.sh <serve_bin> <loadgen_bin> [n]}"
 n_conns="${3:-10000}"
+router_bin="${4:-}"
 
 # The storm needs n_conns fds plus slack on each side.
 need=$((n_conns + 100))
@@ -35,9 +43,11 @@ ulimit -n "${need}" 2> /dev/null || true
 
 workdir="$(mktemp -d)"
 serve_pid=""
+router_pid=""
 storm_pid=""
 cleanup() {
     [[ -n "${storm_pid}" ]] && kill "${storm_pid}" 2> /dev/null || true
+    [[ -n "${router_pid}" ]] && kill "${router_pid}" 2> /dev/null || true
     [[ -n "${serve_pid}" ]] && kill "${serve_pid}" 2> /dev/null || true
     rm -rf "${workdir}"
 }
@@ -69,7 +79,46 @@ done
 port="$(cat "${port_file}")"
 echo "daemon up on port ${port} (pid ${serve_pid})" >&2
 
-"${loadgen_bin}" --port "${port}" --storm "${n_conns}" \
+# Stop a server with SIGTERM and require a clean (exit 0) drain with
+# the clean-shutdown marker in its log.
+drain() {
+    local pid="$1" log="$2" what="$3" rc=0
+    kill -TERM "${pid}"
+    wait "${pid}" || rc=$?
+    if [[ "${rc}" -ne 0 ]]; then
+        echo "FAIL: ${what} exited ${rc} on SIGTERM" >&2
+        tail -50 "${log}" >&2
+        exit 1
+    fi
+    grep -q "clean shutdown" "${log}" || {
+        echo "FAIL: no clean-shutdown marker in ${what} log" >&2
+        tail -50 "${log}" >&2
+        exit 1
+    }
+}
+
+front_port="${port}"
+if [[ -n "${router_bin}" ]]; then
+    router_log="${workdir}/router.log"
+    "${router_bin}" --port 0 --backend "127.0.0.1:${port}" \
+        --max-conns $((n_conns + 64)) --quiet \
+        --port-file "${workdir}/router.port" > "${router_log}" 2>&1 &
+    router_pid=$!
+    for _ in $(seq 1 100); do
+        [[ -s "${workdir}/router.port" ]] && break
+        kill -0 "${router_pid}" 2> /dev/null || break
+        sleep 0.1
+    done
+    [[ -s "${workdir}/router.port" ]] || {
+        echo "FAIL: router never published its port" >&2
+        cat "${router_log}" >&2
+        exit 1
+    }
+    front_port="$(cat "${workdir}/router.port")"
+    echo "router up on port ${front_port} (pid ${router_pid})" >&2
+fi
+
+"${loadgen_bin}" --port "${front_port}" --storm "${n_conns}" \
     --ready-file "${ready_file}" --hold-secs 60 \
     > "${storm_log}" 2>&1 &
 storm_pid=$!
@@ -94,20 +143,12 @@ echo "storm ready: $(cat "${ready_file}")" >&2
 
 # Drain with all n_conns connections still open. The storm holds its
 # sockets and requires EOF (not ECONNRESET) on every one.
-kill -TERM "${serve_pid}"
-rc=0
-wait "${serve_pid}" || rc=$?
-serve_pid=""
-if [[ "${rc}" -ne 0 ]]; then
-    echo "FAIL: daemon exited ${rc} on SIGTERM" >&2
-    tail -50 "${serve_log}" >&2
-    exit 1
+if [[ -n "${router_pid}" ]]; then
+    drain "${router_pid}" "${router_log}" router
+    router_pid=""
 fi
-grep -q "clean shutdown" "${serve_log}" || {
-    echo "FAIL: no clean-shutdown marker in daemon log" >&2
-    tail -50 "${serve_log}" >&2
-    exit 1
-}
+drain "${serve_pid}" "${serve_log}" daemon
+serve_pid=""
 
 storm_rc=0
 wait "${storm_pid}" || storm_rc=$?
@@ -118,4 +159,4 @@ if [[ "${storm_rc}" -ne 0 ]]; then
     exit 1
 fi
 echo "storm summary: $(tail -3 "${storm_log}")" >&2
-echo "PASS: smoke_10k_conns (${n_conns} connections)" >&2
+echo "PASS: smoke_10k_conns (${n_conns} connections${router_bin:+, routed})" >&2

@@ -254,7 +254,6 @@ appendEntropyOkFrame(std::vector<std::uint8_t> &out,
     panic_if(payload > kMaxFrameBytes,
              "frame payload %zu exceeds the %zu-byte ceiling",
              payload, kMaxFrameBytes);
-    out.reserve(out.size() + 4 + payload);
     putU32(out, static_cast<std::uint32_t>(payload));
     out.push_back(static_cast<std::uint8_t>(MsgType::GetEntropy) |
                   kResponseBit);
@@ -385,14 +384,33 @@ decodeResponse(const std::uint8_t *payload, std::size_t len,
 std::vector<std::uint8_t>
 frame(const std::vector<std::uint8_t> &payload)
 {
+    std::vector<std::uint8_t> out;
+    out.reserve(4 + payload.size());
+    appendFrame(out, payload);
+    return out;
+}
+
+void
+appendFrame(std::vector<std::uint8_t> &out,
+            const std::vector<std::uint8_t> &payload)
+{
     panic_if(payload.size() > kMaxFrameBytes,
              "frame payload %zu exceeds the %zu-byte ceiling",
              payload.size(), kMaxFrameBytes);
-    std::vector<std::uint8_t> out;
-    out.reserve(4 + payload.size());
     putU32(out, static_cast<std::uint32_t>(payload.size()));
     out.insert(out.end(), payload.begin(), payload.end());
-    return out;
+}
+
+Response
+quickResponse(const Request &req, Status status, std::string text)
+{
+    Response resp;
+    resp.type = req.type;
+    resp.seq = req.seq;
+    resp.status = status;
+    resp.text = std::move(text);
+    echoRequestId(resp, req);
+    return resp;
 }
 
 std::vector<std::uint8_t>

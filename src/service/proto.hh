@@ -172,6 +172,10 @@ echoRequestId(Response &resp, const Request &req)
     }
 }
 
+/** Response answering @p req with @p status and @p text. */
+Response quickResponse(const Request &req, Status status,
+                       std::string text);
+
 /** @name Frame payload encode / decode (length prefix excluded) */
 /// @{
 std::vector<std::uint8_t> encodeRequest(const Request &req);
@@ -186,6 +190,10 @@ bool decodeResponse(const std::uint8_t *payload, std::size_t len,
 
 /** Prepend the u32le length prefix to a payload. */
 std::vector<std::uint8_t> frame(const std::vector<std::uint8_t> &payload);
+
+/** Append `u32le len | payload` onto @p out. */
+void appendFrame(std::vector<std::uint8_t> &out,
+                 const std::vector<std::uint8_t> &payload);
 
 /**
  * Append `u32le len | payload` for @p resp directly onto @p out.

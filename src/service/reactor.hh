@@ -1,74 +1,45 @@
 /**
  * @file
  * One event-loop thread of the serving daemon (see server.hh for the
- * full threading model). A reactor owns:
+ * full threading model): the daemon's policy over the shared
+ * event-loop core (loop.hh), which owns the epoll loop, accept, the
+ * connections, the ordered response window, the deferred flush,
+ * timeouts and drain. A reactor adds what a frame means here:
  *
- *   - an epoll instance watching its connections (and, on reactor 0,
- *     the listen socket - accepts happen on the loop, no dedicated
- *     accept thread),
- *   - an eventfd other threads use to wake it: the accepting reactor
- *     hands off adopted connections, shard workers post completions,
- *     and stop() posts the drain request,
- *   - every connection assigned to it, each with a FrameReader, a
- *     token bucket, an ordered pending-response window and a batched
- *     write queue flushed with one writev per loop turn.
+ *   - HEALTH/STATS and rate-limit refusals are answered inline, with
+ *     a token bucket per connection,
+ *   - conditioned GET_ENTROPY is answered from a reactor-local slice
+ *     of DRBG stream when it can be (the entropy pool),
+ *   - everything else is dispatched to a shard; completions come back
+ *     through onResponse() and are routed by their 64-bit token
+ *     (connection id | absolute frame index) into the window.
+ *     Completions carry no allocation and no futex on the hot path -
+ *     the shard worker appends to the reactor's completion vector and
+ *     wakes the loop only on the empty -> non-empty transition,
+ *   - traced requests get a stage timeline, stamped when their bytes
+ *     are flushed and pushed to the server's trace ring.
  *
- * The pipelining contract (responses leave in request order per
- * connection) is kept by the pending window: frame k of a connection
- * occupies slot k; shard completions arrive out of order, are routed
- * by their 64-bit token (connection id | absolute frame index) into
- * the slot, and only the ready *prefix* of the window is encoded and
- * flushed. Completions carry no allocation and no futex on the hot
- * path - the shard worker appends to the reactor's completion vector
- * and writes the eventfd only on the empty -> non-empty transition.
- *
- * Nothing here is shared between reactors except the accept handoff;
- * all per-connection state is touched only by the owning loop thread.
+ * Reactor 0 owns the listen socket and hands accepted connections to
+ * the reactors round-robin. Nothing else is shared between reactors.
  */
 
 #ifndef FRACDRAM_SERVICE_REACTOR_HH
 #define FRACDRAM_SERVICE_REACTOR_HH
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
+#include "service/loop.hh"
 #include "service/proto.hh"
 #include "service/shard.hh"
-#include "telemetry/metrics.hh"
 
 namespace fracdram::service
 {
 
 class Server;
 
-/**
- * Loop phases a reactor publishes while it works (gauge
- * `service.reactorN.phase`). The watchdog's stall detector reads the
- * phase of a reactor whose heartbeat froze, so a postmortem can say
- * *where* the loop is stuck, not just that it is.
- */
-enum class ReactorPhase : int
-{
-    Idle = 0, //!< blocked in epoll_wait
-    Accept,   //!< accepting / handing off new connections
-    Read,     //!< draining a readable socket
-    Dispatch, //!< decoding frames / submitting shard jobs
-    Write,    //!< encoding responses / writev flush
-    Control,  //!< eventfd drain (completions, adoptions)
-    Tick,     //!< housekeeping scan (idle/stall timeouts)
-};
-
-constexpr int kNumReactorPhases = 7;
-
-/** Stable lowercase name of a published phase value ("?" if bogus). */
-const char *reactorPhaseName(int phase);
-
-class Reactor final : public ResponseSink
+class Reactor final : public EventLoop, public ResponseSink
 {
   public:
     /**
@@ -78,46 +49,12 @@ class Reactor final : public ResponseSink
      * @param listen_fd the listen socket (reactor 0), else -1
      */
     Reactor(Server &server, int index, int pin_cpu, int listen_fd);
-    ~Reactor();
-
-    void start();
-    void join();
-
-    /**
-     * Begin the graceful drain: stop accepting, shut the read side of
-     * every connection, answer everything in flight, then exit the
-     * loop. Callable from any thread; idempotent.
-     */
-    void requestDrain();
-
-    /**
-     * Take ownership of an accepted, non-blocking socket. Called by
-     * the accepting reactor's loop thread (round-robin handoff).
-     */
-    void adopt(int fd);
+    ~Reactor() override;
 
     /** ResponseSink: called by shard workers, routes by token. */
     void onResponse(std::uint64_t token, Response &&resp) override;
 
-    /** Live connections owned by this reactor (loop-published). */
-    std::size_t connCount() const
-    {
-        return connCount_.load(std::memory_order_relaxed);
-    }
-
     int index() const { return index_; }
-
-    /** Loop turns completed so far (any-thread read; stall probe). */
-    std::uint64_t heartbeat() const
-    {
-        return heartbeat_.load(std::memory_order_relaxed);
-    }
-
-    /** Phase the loop is currently in (any-thread read). */
-    int phaseNow() const
-    {
-        return phase_.load(std::memory_order_relaxed);
-    }
 
   private:
     struct Conn;
@@ -127,53 +64,38 @@ class Reactor final : public ResponseSink
         Response resp;
     };
 
-    void run();
-    void wake();
-    void handleWake();
-    void handleAccept();
-    void adoptLocal(int fd);
-    void beginDrain();
-    void handleReadable(Conn *conn);
-    void dispatchFrame(Conn *conn, const std::vector<std::uint8_t> &payload);
-    bool serveEntropyFromPool(Conn *conn, const Request &req,
+    void onFrame(StreamConn &c,
+                 const std::vector<std::uint8_t> &payload) override;
+    std::unique_ptr<StreamConn> newConn() override;
+    void onRead(StreamConn &c) override;
+    void onWake() override;
+    void onFlushed(StreamConn &c) override;
+    EventLoop &acceptTarget() override;
+
+    std::uint32_t openTraced(Conn &conn, const Request &req,
+                             std::uint64_t recv_ns, int shard);
+    void finish(Conn &conn, std::uint32_t abs, const Response &resp);
+    bool serveEntropyFromPool(Conn &conn, const Request &req,
                               std::uint64_t recv_ns);
     void maybeRefillPool();
     void onPoolRefill(std::uint64_t token, Response &&resp);
-    void pumpConn(Conn *conn);
-    bool encodeReady(Conn *conn);
-    bool flushConn(Conn *conn);
-    void updateWriteInterest(Conn *conn);
-    void closeConn(Conn *conn);
-    void tick(std::uint64_t now_ns);
-    void setPhase(ReactorPhase p);
 
     Server &server_;
     const int index_;
-    const int pinCpu_;
-    const int listenFd_; //!< -1 on non-accepting reactors
-    int epollFd_ = -1;
-    int eventFd_ = -1;
-    std::thread thread_;
 
-    /** @name Cross-thread inboxes (guarded by mutex_) */
+    /** @name Completion inbox (guarded by mutex_) */
     /// @{
     std::mutex mutex_;
     std::vector<Completion> completions_;
-    std::vector<int> adopted_;
     /// @}
-    std::atomic<bool> draining_{false};
-    bool drainStarted_ = false;
 
     /** @name Loop-thread-only state */
     /// @{
-    std::unordered_map<int, std::unique_ptr<Conn>> conns_; //!< by fd
-    std::unordered_map<std::uint32_t, Conn *> connsById_;
-    std::uint32_t nextConnId_ = 1;
-    std::uint64_t acceptRr_ = 0; //!< handoff round-robin (reactor 0)
-    std::uint64_t lastTickNs_ = 0;
-    std::vector<std::uint8_t> rdbuf_;
-    std::vector<std::uint8_t> rdpayload_; //!< frame scratch (reused)
-    std::size_t readShard_ = 0; //!< entropy shard for this read batch
+    std::vector<Completion> done_; //!< swapped with completions_
+    std::uint64_t acceptRr_ = 0;   //!< handoff round-robin (reactor 0)
+    std::size_t readShard_ = 0;    //!< entropy shard for this read batch
+    int freezeMs_ = 0; //!< FRACDRAM_TEST_FREEZE_REACTOR test hook
+    bool freezeArmed_ = false;
 
     /**
      * @name Reactor-local conditioned-entropy pool
@@ -191,28 +113,6 @@ class Reactor final : public ResponseSink
     int poolShard_ = 0; //!< shard whose DRBG filled the current pool
     bool refillInFlight_ = false;
     /// @}
-    /// @}
-
-    std::atomic<std::size_t> connCount_{0};
-    telemetry::GaugeId connsGauge_;
-
-    /**
-     * @name Loop forensics (see DESIGN.md §5i)
-     * heartbeat_ bumps once per loop turn (epoll_wait returns at
-     * least every 100ms even idle, so a frozen heartbeat means a
-     * stuck loop, not an idle one); phase_ names what the loop is
-     * doing right now. Both are mirrored into gauges so the watchdog
-     * and the flight recorder read them from ordinary snapshots.
-     */
-    /// @{
-    std::atomic<std::uint64_t> heartbeat_{0};
-    std::atomic<int> phase_{0};
-    telemetry::GaugeId heartbeatGauge_;
-    telemetry::GaugeId phaseGauge_;
-    telemetry::HistogramId turnHist_; //!< busy-turn duration, ns
-    telemetry::HistogramId lagHist_;  //!< tick lateness beyond 100ms
-    int freezeMs_ = 0; //!< FRACDRAM_TEST_FREEZE_REACTOR test hook
-    bool freezeArmed_ = false;
     /// @}
 };
 

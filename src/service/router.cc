@@ -1,15 +1,9 @@
 #include "service/router.hh"
 
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <chrono>
 #include <cinttypes>
 #include <cmath>
 #include <cstring>
+#include <ctime>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -19,43 +13,24 @@
 namespace fracdram::fleet
 {
 
+using service::appendFrame;
+using service::appendResponseFrame;
 using service::decodeRequest;
 using service::encodeRequest;
-using service::encodeResponse;
-using service::FrameReader;
 using service::kFlagDeviceId;
+using service::monoNs;
 using service::MsgType;
+using service::quickResponse;
 using service::Request;
 using service::Response;
 using service::Status;
+using service::StreamConn;
 
 namespace
 {
 
-std::uint64_t
-monoNs()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
-/** Append `u32le len | payload` onto @p out. */
-void
-appendFramed(std::vector<std::uint8_t> &out,
-             const std::vector<std::uint8_t> &payload)
-{
-    const std::uint32_t n = static_cast<std::uint32_t>(payload.size());
-    const std::size_t at = out.size();
-    out.resize(at + 4 + payload.size());
-    std::uint8_t *p = out.data() + at;
-    p[0] = static_cast<std::uint8_t>(n & 0xff);
-    p[1] = static_cast<std::uint8_t>((n >> 8) & 0xff);
-    p[2] = static_cast<std::uint8_t>((n >> 16) & 0xff);
-    p[3] = static_cast<std::uint8_t>((n >> 24) & 0xff);
-    std::memcpy(p + 4, payload.data(), payload.size());
-}
+/** Client write-stall bound: the daemon's default writeTimeoutMs. */
+constexpr int kWriteStallMs = 5000;
 
 /**
  * True when @p payload is an OK PUF_RESPONSE carrying the
@@ -79,20 +54,59 @@ lacksReference(const std::vector<std::uint8_t> &payload)
            resp.hamming == service::kNoHamming;
 }
 
-/** Response payload answering @p req with @p status / @p text. */
-std::vector<std::uint8_t>
-responsePayload(const Request &req, Status status, std::string text)
+service::LoopSpec
+routerSpec(const RouterConfig &cfg)
 {
-    Response resp;
-    resp.type = req.type;
-    resp.seq = req.seq;
-    resp.status = status;
-    resp.text = std::move(text);
-    service::echoRequestId(resp, req);
-    return encodeResponse(resp);
+    service::LoopSpec spec;
+    spec.prefix = "router.reactor0";
+    spec.family = "router";
+    spec.connsGauge = "router.connections";
+    spec.suppressed = "router.log_suppressed";
+    spec.maxConnections = cfg.maxConnections;
+    spec.writeTimeoutMs = kWriteStallMs;
+    return spec;
 }
 
 } // namespace
+
+/** The router's hooks on the event-loop core. */
+class Router::Loop final : public service::EventLoop
+{
+  public:
+    explicit Loop(Router &r)
+        : EventLoop(routerSpec(r.cfg_), r.ledger_), r_(r)
+    {
+    }
+    ~Loop() override { join(); }
+
+  private:
+    void onFrame(StreamConn &c,
+                 const std::vector<std::uint8_t> &payload) override
+    {
+        if (c.upstream >= 0)
+            r_.backendFrame(static_cast<std::size_t>(c.upstream),
+                            payload);
+        else
+            r_.dispatchFrame(c, payload);
+    }
+    void onWake() override { r_.applyBackendCommands(); }
+    void onTick(std::uint64_t now_ns) override
+    {
+        r_.checkDeadlines(now_ns);
+    }
+    void onFlushed(StreamConn &c) override
+    {
+        if (c.upstream >= 0)
+            r_.publishForwards(*r_.backends_[c.upstream]);
+    }
+    void onClose(StreamConn &c, const char *why) override
+    {
+        if (c.upstream >= 0)
+            r_.backendLost(static_cast<std::size_t>(c.upstream), why);
+    }
+
+    Router &r_;
+};
 
 Router::Router(const RouterConfig &cfg)
     : cfg_(cfg), ring_(cfg.vnodes)
@@ -105,10 +119,7 @@ Router::Router(const RouterConfig &cfg)
     capabilityCtr_ = m.counter("router.capability");
     ejectionsCtr_ = m.counter("router.ejections");
     readmissionsCtr_ = m.counter("router.readmissions");
-    acceptedCtr_ = m.counter("router.conn_accepted");
-    badFramesCtr_ = m.counter("router.bad_frames");
     readThroughCtr_ = m.counter("router.verify_read_through");
-    connsGauge_ = m.gauge("router.connections");
     for (std::size_t i = 0; i < cfg.backends.size(); ++i) {
         auto b = std::make_unique<Backend>();
         b->addr = cfg.backends[i];
@@ -116,11 +127,13 @@ Router::Router(const RouterConfig &cfg)
         backends_.push_back(std::move(b));
         ring_.addNode(static_cast<int>(i));
     }
+    loop_ = std::make_unique<Loop>(*this);
 }
 
 Router::~Router()
 {
     stop();
+    service::closeFd(listenFd_);
 }
 
 bool
@@ -135,21 +148,7 @@ Router::start(std::string *err)
     if (listenFd_ < 0)
         return false;
     port_ = service::boundPort(listenFd_);
-    service::setNonBlocking(listenFd_);
-    epollFd_ = ::epoll_create1(0);
-    eventFd_ = ::eventfd(0, EFD_NONBLOCK);
-    if (epollFd_ < 0 || eventFd_ < 0) {
-        if (err != nullptr)
-            *err = "epoll/eventfd setup failed";
-        return false;
-    }
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = listenFd_;
-    ::epoll_ctl(epollFd_, EPOLL_CTL_ADD, listenFd_, &ev);
-    ev.data.fd = eventFd_;
-    ::epoll_ctl(epollFd_, EPOLL_CTL_ADD, eventFd_, &ev);
-    rdbuf_.resize(64 * 1024);
+    loop_->listen(listenFd_);
     startNs_ = monoNs();
 
     // Connect what answers now; the prober re-admits the rest when
@@ -201,7 +200,7 @@ Router::start(std::string *err)
         }
     }
 
-    loopThread_ = std::thread(&Router::loop, this);
+    loop_->start();
     proberThread_ = std::thread(&Router::proberLoop, this);
     return true;
 }
@@ -211,24 +210,21 @@ Router::stop()
 {
     if (!running_)
         return;
-    draining_.store(true, std::memory_order_release);
-    wakeLoop();
-    loopThread_.join();
+    // The core drains: no new clients, read sides shut, every owed
+    // answer delivered - bounded by the upstream deadline and the
+    // write-stall bound - then the loop exits and closes the backend
+    // sockets.
+    loop_->requestDrain();
+    loop_->join();
+    for (auto &b : backends_)
+        b->conn = nullptr;
     stopProber_.store(true, std::memory_order_release);
     proberThread_.join();
     if (http_)
         http_->stop();
+    service::closeFd(listenFd_);
+    listenFd_ = -1;
     running_ = false;
-}
-
-void
-Router::wakeLoop()
-{
-    if (eventFd_ >= 0) {
-        const std::uint64_t one = 1;
-        [[maybe_unused]] const auto n =
-            ::write(eventFd_, &one, sizeof(one));
-    }
 }
 
 bool
@@ -242,7 +238,7 @@ bool
 Router::backendAlive(int bi) const
 {
     const Backend &b = *backends_[static_cast<std::size_t>(bi)];
-    return b.fd >= 0 && b.up.load(std::memory_order_relaxed);
+    return b.conn != nullptr && b.up.load(std::memory_order_relaxed);
 }
 
 bool
@@ -254,35 +250,26 @@ Router::connectBackend(std::size_t bi, std::string *err)
         return false;
     service::setNoDelay(fd);
     service::setNonBlocking(fd);
-    b.fd = fd;
-    b.reader = FrameReader();
-    b.outbuf.clear();
-    b.outpos = 0;
-    b.wantWrite = false;
+    b.conn = &loop_->attach(fd, static_cast<int>(bi));
     b.up.store(true, std::memory_order_relaxed);
     telemetry::setGauge(b.upGauge, 1);
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    ::epoll_ctl(epollFd_, EPOLL_CTL_ADD, fd, &ev);
-    backendByFd_[fd] = bi;
     return true;
 }
 
 void
 Router::failBackend(std::size_t bi, const char *why)
 {
+    // Closing the socket runs backendLost() through the loop's hook.
+    if (backends_[bi]->conn != nullptr)
+        loop_->closeConn(*backends_[bi]->conn, why);
+}
+
+void
+Router::backendLost(std::size_t bi, const char *why)
+{
     Backend &b = *backends_[bi];
-    if (b.fd >= 0) {
-        ::epoll_ctl(epollFd_, EPOLL_CTL_DEL, b.fd, nullptr);
-        backendByFd_.erase(b.fd);
-        service::closeFd(b.fd);
-        b.fd = -1;
-    }
-    b.outbuf.clear();
-    b.outpos = 0;
-    b.wantWrite = false;
-    b.reader = FrameReader();
+    b.conn = nullptr;
+    publishForwards(b);
     const bool was_up = b.up.exchange(false, std::memory_order_relaxed);
     telemetry::setGauge(b.upGauge, 0);
     b.probeOks.store(0, std::memory_order_relaxed);
@@ -323,9 +310,15 @@ Router::failBackend(std::size_t bi, const char *why)
                           frame);
             continue;
         }
-        completeSlot(p.connId, p.absIdx,
-                     responsePayload(p.req, Status::Error,
-                                     "backend lost mid-request"));
+        if (StreamConn *c = loop_->find(p.connId))
+            loop_->complete(*c, p.absIdx,
+                            [&p](std::vector<std::uint8_t> &out) {
+                                appendResponseFrame(
+                                    out,
+                                    quickResponse(p.req, Status::Error,
+                                                  "backend lost "
+                                                  "mid-request"));
+                            });
     }
 }
 
@@ -345,281 +338,93 @@ Router::sendToBackend(std::size_t bi, Pending &&p,
                       const std::vector<std::uint8_t> &frame)
 {
     Backend &b = *backends_[bi];
-    appendFramed(b.outbuf, frame);
+    appendFrame(b.conn->out, frame);
     b.inflight.push_back(std::move(p));
-    // Published (atomic + telemetry) in one batch by flushPending();
-    // two shared-counter updates per frame would be the single
-    // largest per-request cost left on this path.
+    // Published (atomic + telemetry) in one batch per flush; two
+    // shared-counter updates per frame would be the single largest
+    // per-request cost left on this path.
     ++b.fwdPending;
-    if (!b.dirty) {
-        b.dirty = true;
-        dirtyBackends_.push_back(bi);
-    }
+    loop_->markDirty(*b.conn);
 }
 
 void
-Router::flushBackend(std::size_t bi)
+Router::publishForwards(Backend &b)
+{
+    if (b.fwdPending == 0)
+        return;
+    b.forwarded.fetch_add(b.fwdPending, std::memory_order_relaxed);
+    telemetry::count(forwardedCtr_, b.fwdPending);
+    b.fwdPending = 0;
+}
+
+void
+Router::backendFrame(std::size_t bi,
+                     const std::vector<std::uint8_t> &payload)
 {
     Backend &b = *backends_[bi];
-    if (b.fd < 0)
+    if (b.inflight.empty()) {
+        failBackend(bi, "unsolicited response");
         return;
-    while (b.outpos < b.outbuf.size()) {
-        const long n = service::writeSome(
-            b.fd, b.outbuf.data() + b.outpos,
-            b.outbuf.size() - b.outpos);
-        if (n < 0) {
-            failBackend(bi, "write failed");
+    }
+    Pending p = std::move(b.inflight.front());
+    b.inflight.pop_front();
+    if (p.connId == 0)
+        return; // replica enrollment ack
+    if (p.retriesLeft > 0 && p.hasKey &&
+        p.req.type == MsgType::PufResponse && lacksReference(payload)) {
+        // Verify read-through: this owner evaluated the challenge
+        // but holds no enrolled reference (typically a re-admitted
+        // daemon that restarted blank). The key's other owner may
+        // still hold it - replication wrote the enrollment to both -
+        // so retry there once instead of surfacing the blank answer.
+        const auto owners = ring_.owners(
+            p.key, [this](int n) { return backendAlive(n); });
+        int alt = -1;
+        if (owners.first >= 0 &&
+            static_cast<std::size_t>(owners.first) != bi)
+            alt = owners.first;
+        else if (owners.second >= 0 &&
+                 static_cast<std::size_t>(owners.second) != bi)
+            alt = owners.second;
+        if (alt >= 0) {
+            --p.retriesLeft;
+            telemetry::count(readThroughCtr_);
+            const auto frame = encodeRequest(p.req);
+            sendToBackend(static_cast<std::size_t>(alt), std::move(p),
+                          frame);
             return;
         }
-        if (n == 0)
-            break; // socket buffer full; EPOLLOUT continues
-        b.outpos += static_cast<std::size_t>(n);
     }
-    if (b.outpos >= b.outbuf.size()) {
-        b.outbuf.clear();
-        b.outpos = 0;
-    }
-    const bool want = !b.outbuf.empty();
-    if (want != b.wantWrite) {
-        b.wantWrite = want;
-        epoll_event ev{};
-        ev.events = EPOLLIN | (want ? unsigned{EPOLLOUT} : 0u);
-        ev.data.fd = b.fd;
-        ::epoll_ctl(epollFd_, EPOLL_CTL_MOD, b.fd, &ev);
-    }
+    if (StreamConn *c = loop_->find(p.connId))
+        loop_->complete(*c, p.absIdx,
+                        [&payload](std::vector<std::uint8_t> &out) {
+                            appendFrame(out, payload);
+                        });
 }
 
 void
-Router::handleBackendReadable(std::size_t bi)
+Router::inlineResponse(StreamConn &conn, const Request &req,
+                       Status status, std::string text)
 {
-    Backend &b = *backends_[bi];
-    if (b.fd < 0)
-        return;
-    const long n = service::readSome(b.fd, rdbuf_.data(),
-                                     rdbuf_.size());
-    if (n <= 0) {
-        failBackend(bi, n == 0 ? "connection closed" : "read failed");
-        return;
-    }
-    if (!b.reader.feed(rdbuf_.data(), static_cast<std::size_t>(n))) {
-        failBackend(bi, "oversized response frame");
-        return;
-    }
-    std::vector<std::uint8_t> payload;
-    while (b.reader.next(payload)) {
-        if (b.inflight.empty()) {
-            failBackend(bi, "unsolicited response");
-            return;
-        }
-        Pending p = std::move(b.inflight.front());
-        b.inflight.pop_front();
-        if (p.connId == 0)
-            continue; // replica enrollment ack
-        if (p.retriesLeft > 0 && p.hasKey &&
-            p.req.type == MsgType::PufResponse &&
-            lacksReference(payload)) {
-            // Verify read-through: this owner evaluated the
-            // challenge but holds no enrolled reference (typically a
-            // re-admitted daemon that restarted blank). The key's
-            // other owner may still hold it - replication wrote the
-            // enrollment to both - so retry there once instead of
-            // surfacing the blank answer.
-            const auto owners = ring_.owners(
-                p.key, [this](int n) { return backendAlive(n); });
-            int alt = -1;
-            if (owners.first >= 0 &&
-                static_cast<std::size_t>(owners.first) != bi)
-                alt = owners.first;
-            else if (owners.second >= 0 &&
-                     static_cast<std::size_t>(owners.second) != bi)
-                alt = owners.second;
-            if (alt >= 0) {
-                --p.retriesLeft;
-                telemetry::count(readThroughCtr_);
-                const auto frame = encodeRequest(p.req);
-                sendToBackend(static_cast<std::size_t>(alt),
-                              std::move(p), frame);
-                payload.clear();
-                continue;
-            }
-        }
-        completeSlot(p.connId, p.absIdx, std::move(payload));
-        // In-order completions never move the buffer out, so its
-        // capacity is reused across the whole burst.
-        payload.clear();
-    }
+    loop_->complete(conn, loop_->open(conn),
+                    [&](std::vector<std::uint8_t> &out) {
+                        appendResponseFrame(
+                            out, quickResponse(req, status,
+                                               std::move(text)));
+                    });
 }
 
 void
-Router::completeSlot(std::uint32_t conn_id, std::uint32_t abs_idx,
-                     std::vector<std::uint8_t> &&payload)
-{
-    const auto it = connsById_.find(conn_id);
-    if (it == connsById_.end())
-        return; // client went away while the request was upstream
-    RConn *conn = it->second;
-    if (abs_idx < conn->base)
-        return;
-    const std::size_t off = abs_idx - conn->base;
-    if (off >= conn->window.size())
-        return;
-    if (off == 0) {
-        // In-order completion (the only case with a single live
-        // backend): skip the slot copy and append straight to the
-        // out-buffer, then drain any buffered successors it unblocks.
-        appendFramed(conn->outbuf, payload);
-        conn->window.pop_front();
-        ++conn->base;
-        while (!conn->window.empty() && conn->window.front().ready) {
-            appendFramed(conn->outbuf, conn->window.front().payload);
-            conn->window.pop_front();
-            ++conn->base;
-        }
-        markConnDirty(conn);
-        return;
-    }
-    Slot &slot = conn->window[off];
-    slot.payload = std::move(payload);
-    slot.ready = true;
-    markConnDirty(conn);
-}
-
-void
-Router::markConnDirty(RConn *conn)
-{
-    if (conn->dirty)
-        return;
-    conn->dirty = true;
-    dirtyConns_.push_back(conn->id);
-}
-
-void
-Router::flushPending()
-{
-    // Backends first: flushing one can fail it, which re-routes its
-    // inflight work (growing dirtyBackends_) and completes slots
-    // (growing dirtyConns_); index loops absorb both.
-    for (std::size_t i = 0; i < dirtyBackends_.size(); ++i) {
-        Backend &b = *backends_[dirtyBackends_[i]];
-        b.dirty = false;
-        if (b.fwdPending != 0) {
-            b.forwarded.fetch_add(b.fwdPending,
-                                  std::memory_order_relaxed);
-            telemetry::count(forwardedCtr_, b.fwdPending);
-            b.fwdPending = 0;
-        }
-        if (b.fd >= 0)
-            flushBackend(dirtyBackends_[i]);
-    }
-    dirtyBackends_.clear();
-    for (std::size_t i = 0; i < dirtyConns_.size(); ++i) {
-        const auto it = connsById_.find(dirtyConns_[i]);
-        if (it == connsById_.end())
-            continue; // closed since it was marked
-        it->second->dirty = false;
-        pumpConn(it->second);
-    }
-    dirtyConns_.clear();
-}
-
-void
-Router::handleAccept()
-{
-    while (true) {
-        const int fd = ::accept(listenFd_, nullptr, nullptr);
-        if (fd < 0) {
-            if (errno == EINTR)
-                continue;
-            return; // EAGAIN: drained
-        }
-        if (conns_.size() >= cfg_.maxConnections) {
-            service::closeFd(fd);
-            continue;
-        }
-        service::setNoDelay(fd);
-        service::setNonBlocking(fd);
-        auto conn = std::make_unique<RConn>();
-        conn->fd = fd;
-        conn->id = nextConnId_++;
-        epoll_event ev{};
-        ev.events = EPOLLIN;
-        ev.data.fd = fd;
-        ::epoll_ctl(epollFd_, EPOLL_CTL_ADD, fd, &ev);
-        connsById_[conn->id] = conn.get();
-        conns_[fd] = std::move(conn);
-        accepted_.fetch_add(1, std::memory_order_relaxed);
-        telemetry::count(acceptedCtr_);
-        liveConns_.store(conns_.size(), std::memory_order_relaxed);
-        telemetry::setGauge(connsGauge_,
-                            static_cast<std::int64_t>(conns_.size()));
-    }
-}
-
-void
-Router::handleClientReadable(RConn *conn)
-{
-    if (conn->readClosed)
-        return;
-    const long n = service::readSome(conn->fd, rdbuf_.data(),
-                                     rdbuf_.size());
-    if (n < 0) {
-        closeConn(conn);
-        return;
-    }
-    if (n == 0) {
-        conn->readClosed = true;
-        updateWriteInterest(conn->fd, conn->wantWrite, false);
-        pumpConn(conn);
-        return;
-    }
-    if (!conn->reader.feed(rdbuf_.data(),
-                           static_cast<std::size_t>(n))) {
-        telemetry::count(badFramesCtr_);
-        closeConn(conn);
-        return;
-    }
-    // next() assigns into the same vector, so a whole burst of
-    // frames reuses one buffer; dispatchFrame never takes the bytes.
-    std::vector<std::uint8_t> payload;
-    while (!conn->readClosed && conn->reader.next(payload))
-        dispatchFrame(conn, payload);
-    pumpConn(conn);
-}
-
-void
-Router::inlineResponse(RConn *conn, const Request &req, Status status,
-                       std::string text)
-{
-    conn->window.emplace_back();
-    Slot &slot = conn->window.back();
-    slot.payload = responsePayload(req, status, std::move(text));
-    slot.ready = true;
-    ++conn->next;
-}
-
-void
-Router::dispatchFrame(RConn *conn,
+Router::dispatchFrame(StreamConn &conn,
                       const std::vector<std::uint8_t> &payload)
 {
     Request req;
     std::string err;
     if (!decodeRequest(payload.data(), payload.size(), req, &err)) {
-        telemetry::count(badFramesCtr_);
-        Request synthetic;
-        synthetic.type = MsgType::Health;
-        if (payload.size() >= 4)
-            synthetic.seq = static_cast<std::uint16_t>(
-                payload[2] | (payload[3] << 8));
-        inlineResponse(conn, synthetic, Status::Error, err);
-        conn->readClosed = true;
-        updateWriteInterest(conn->fd, conn->wantWrite, false);
+        loop_->rejectFrame(conn, &payload, err);
         return;
     }
-    if (req.type == MsgType::Health) {
-        inlineResponse(conn, req, Status::Ok, fleetJson());
-        return;
-    }
-    if (req.type == MsgType::Stats) {
+    if (req.type == MsgType::Health || req.type == MsgType::Stats) {
         inlineResponse(conn, req, Status::Ok, fleetJson());
         return;
     }
@@ -689,14 +494,13 @@ Router::dispatchFrame(RConn *conn,
     }
 
     Pending p;
-    p.connId = conn->id;
-    p.absIdx = conn->next++;
-    conn->window.emplace_back();
+    p.connId = conn.id;
+    p.absIdx = loop_->open(conn);
     p.hasKey = has_key;
     p.key = key;
     p.req = req;
     p.deadlineNs =
-        nowNs_ +
+        loop_->turnNs() +
         static_cast<std::uint64_t>(cfg_.upstreamTimeoutMs) * 1'000'000;
     // A steered request needs a rewritten frame; everything else
     // forwards the client's bytes untouched (the length prefix is
@@ -730,71 +534,6 @@ Router::dispatchFrame(RConn *conn,
 }
 
 void
-Router::pumpConn(RConn *conn)
-{
-    while (!conn->window.empty() && conn->window.front().ready) {
-        appendFramed(conn->outbuf, conn->window.front().payload);
-        conn->window.pop_front();
-        ++conn->base;
-    }
-    if (!flushConn(conn))
-        return;
-    if (conn->readClosed && conn->window.empty() &&
-        conn->outpos >= conn->outbuf.size())
-        closeConn(conn);
-}
-
-bool
-Router::flushConn(RConn *conn)
-{
-    while (conn->outpos < conn->outbuf.size()) {
-        const long n = service::writeSome(
-            conn->fd, conn->outbuf.data() + conn->outpos,
-            conn->outbuf.size() - conn->outpos);
-        if (n < 0) {
-            closeConn(conn);
-            return false;
-        }
-        if (n == 0)
-            break;
-        conn->outpos += static_cast<std::size_t>(n);
-    }
-    if (conn->outpos >= conn->outbuf.size()) {
-        conn->outbuf.clear();
-        conn->outpos = 0;
-    }
-    const bool want = !conn->outbuf.empty();
-    if (want != conn->wantWrite) {
-        conn->wantWrite = want;
-        updateWriteInterest(conn->fd, want, !conn->readClosed);
-    }
-    return true;
-}
-
-void
-Router::updateWriteInterest(int fd, bool want, bool want_read)
-{
-    epoll_event ev{};
-    ev.events = (want_read ? unsigned{EPOLLIN} : 0u) |
-                (want ? unsigned{EPOLLOUT} : 0u);
-    ev.data.fd = fd;
-    ::epoll_ctl(epollFd_, EPOLL_CTL_MOD, fd, &ev);
-}
-
-void
-Router::closeConn(RConn *conn)
-{
-    ::epoll_ctl(epollFd_, EPOLL_CTL_DEL, conn->fd, nullptr);
-    connsById_.erase(conn->id);
-    const int fd = conn->fd;
-    service::closeFd(fd);
-    conns_.erase(fd); // frees conn
-    liveConns_.store(conns_.size(), std::memory_order_relaxed);
-    telemetry::setGauge(connsGauge_,
-                        static_cast<std::int64_t>(conns_.size()));
-}
-
-void
 Router::applyBackendCommands()
 {
     for (std::size_t i = 0; i < backends_.size(); ++i) {
@@ -824,124 +563,14 @@ Router::applyBackendCommands()
 }
 
 void
-Router::tick(std::uint64_t now_ns)
+Router::checkDeadlines(std::uint64_t now_ns)
 {
-    if (now_ns - lastTickNs_ < 50'000'000)
-        return;
-    lastTickNs_ = now_ns;
     for (std::size_t i = 0; i < backends_.size(); ++i) {
-        Backend &b = *backends_[i];
-        if (b.fd >= 0 && !b.inflight.empty() &&
+        const Backend &b = *backends_[i];
+        if (b.conn != nullptr && !b.inflight.empty() &&
             now_ns > b.inflight.front().deadlineNs)
             failBackend(i, "upstream response timeout");
     }
-}
-
-void
-Router::loop()
-{
-    std::vector<epoll_event> events(64);
-    bool drain_started = false;
-    while (true) {
-        const int n = ::epoll_wait(epollFd_, events.data(),
-                                   static_cast<int>(events.size()),
-                                   100);
-        const std::uint64_t now = monoNs();
-        nowNs_ = now;
-        for (int i = 0; i < n; ++i) {
-            const int fd = events[i].data.fd;
-            const std::uint32_t mask = events[i].events;
-            if (fd == eventFd_) {
-                std::uint64_t drainv = 0;
-                [[maybe_unused]] const auto r =
-                    ::read(eventFd_, &drainv, sizeof(drainv));
-                continue;
-            }
-            if (fd == listenFd_) {
-                handleAccept();
-                continue;
-            }
-            const auto bit = backendByFd_.find(fd);
-            if (bit != backendByFd_.end()) {
-                const std::size_t bi = bit->second;
-                if (mask & (EPOLLERR | EPOLLHUP)) {
-                    failBackend(bi, "connection error");
-                    continue;
-                }
-                if (mask & EPOLLIN)
-                    handleBackendReadable(bi);
-                if ((mask & EPOLLOUT) &&
-                    backends_[bi]->fd == fd)
-                    flushBackend(bi);
-                continue;
-            }
-            const auto cit = conns_.find(fd);
-            if (cit == conns_.end())
-                continue;
-            RConn *conn = cit->second.get();
-            if (mask & (EPOLLERR | EPOLLHUP)) {
-                closeConn(conn);
-                continue;
-            }
-            if (mask & EPOLLIN)
-                handleClientReadable(conn);
-            if ((mask & EPOLLOUT) && conns_.count(fd))
-                pumpConn(conn);
-        }
-        applyBackendCommands();
-        tick(now);
-        flushPending();
-        if (draining_.load(std::memory_order_acquire)) {
-            if (!drain_started) {
-                drain_started = true;
-                drainDeadlineNs_ = now + 3'000'000'000ULL;
-                ::epoll_ctl(epollFd_, EPOLL_CTL_DEL, listenFd_,
-                            nullptr);
-                std::vector<RConn *> all;
-                all.reserve(conns_.size());
-                for (auto &kv : conns_)
-                    all.push_back(kv.second.get());
-                for (RConn *conn : all) {
-                    service::shutdownRead(conn->fd);
-                    conn->readClosed = true;
-                    updateWriteInterest(conn->fd, conn->wantWrite,
-                                        false);
-                    pumpConn(conn);
-                }
-            }
-            bool busy = false;
-            for (const auto &kv : conns_) {
-                const RConn &c = *kv.second;
-                if (!c.window.empty() ||
-                    c.outpos < c.outbuf.size()) {
-                    busy = true;
-                    break;
-                }
-            }
-            if (!busy || now > drainDeadlineNs_)
-                break;
-        }
-    }
-    // Teardown on the loop thread so fds are closed exactly once.
-    std::vector<RConn *> rest;
-    rest.reserve(conns_.size());
-    for (auto &kv : conns_)
-        rest.push_back(kv.second.get());
-    for (RConn *conn : rest)
-        closeConn(conn);
-    for (std::size_t i = 0; i < backends_.size(); ++i) {
-        Backend &b = *backends_[i];
-        if (b.fd >= 0) {
-            service::closeFd(b.fd);
-            b.fd = -1;
-        }
-    }
-    service::closeFd(listenFd_);
-    listenFd_ = -1;
-    service::closeFd(eventFd_);
-    eventFd_ = -1;
-    service::closeFd(epollFd_);
-    epollFd_ = -1;
 }
 
 bool
@@ -984,7 +613,7 @@ Router::proberLoop()
                     oks >= cfg_.readmitAfter) {
                     b.wantReadmit.store(true,
                                         std::memory_order_relaxed);
-                    wakeLoop();
+                    loop_->wake();
                 }
             } else {
                 b.probeOks.store(0, std::memory_order_relaxed);
@@ -996,7 +625,7 @@ Router::proberLoop()
                     fails >= cfg_.ejectAfter) {
                     b.wantEject.store(true,
                                       std::memory_order_relaxed);
-                    wakeLoop();
+                    loop_->wake();
                 }
             }
         }
@@ -1020,9 +649,9 @@ Router::fleetJson() const
        << (cfg_.replicateEnroll ? "true" : "false")
        << ", \"uptime_s\": " << (monoNs() - startNs_) / 1'000'000'000
        << ", \"connections\": "
-       << liveConns_.load(std::memory_order_relaxed)
+       << ledger_.live.load(std::memory_order_relaxed)
        << ", \"accepted\": "
-       << accepted_.load(std::memory_order_relaxed)
+       << ledger_.accepted.load(std::memory_order_relaxed)
        << ", \"steered\": "
        << steered_.load(std::memory_order_relaxed)
        << ", \"capability_rejected\": "

@@ -1,9 +1,12 @@
 /**
  * @file
- * fracdram_router core: the fleet's level-2 tier (DESIGN.md §5j). A
- * single epoll event loop - the same share-nothing reactor shape as
- * the daemon's - terminates client connections speaking the daemon
- * wire protocol and fans the frames out over N daemon processes:
+ * fracdram_router core: the fleet's level-2 tier (DESIGN.md §5j). The
+ * router is a policy over the same event-loop core as the daemon's
+ * reactors (loop.hh, DESIGN.md §5g): one loop thread terminates
+ * client connections speaking the daemon wire protocol - accept
+ * under the cap (BUSY beyond it), typed errors for bad frames, the
+ * ordered response window, the write-stall bound and drain all come
+ * from the core - and fans the frames out over N daemon processes:
  *
  *  - placement: device-addressed work (PUF frames, GET_ENTROPY with
  *    kFlagDeviceId) routes by consistent hashing on the device id
@@ -37,7 +40,9 @@
  * in-flight descriptors per backend maps responses back to client
  * window slots without any id rewriting - the client's frame bytes
  * are forwarded verbatim (seq echo included) unless steering had to
- * rewrite the device id.
+ * rewrite the device id. Backend sockets are core connections
+ * attached by the router, so they share the clients' output buffer
+ * and flush.
  */
 
 #ifndef FRACDRAM_SERVICE_ROUTER_HH
@@ -49,18 +54,17 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "service/fleet.hh"
 #include "service/http.hh"
+#include "service/loop.hh"
 #include "service/proto.hh"
 #include "telemetry/metrics.hh"
 
 namespace fracdram::fleet
 {
 
-using service::FrameReader;
 using service::Request;
 using service::Status;
 
@@ -119,12 +123,19 @@ class Router
     {
         return readmissions_.load(std::memory_order_relaxed);
     }
+    /** Client connections refused with BUSY at the cap. */
+    std::uint64_t rejectedConnections() const
+    {
+        return ledger_.rejected.load(std::memory_order_relaxed);
+    }
     std::string fleetJson() const;
     /** /metrics body: own families + healthy-backend aggregate. */
     std::string aggregateMetrics() const;
     /// @}
 
   private:
+    class Loop;
+
     /**
      * One queued-for-backend request awaiting its response. The
      * frame bytes are not retained: the protocol's encoding is
@@ -148,15 +159,10 @@ class Router
     {
         BackendAddr addr;
         // Loop-thread-only:
-        int fd = -1;
-        FrameReader reader;
+        service::StreamConn *conn = nullptr; //!< null while ejected
         std::deque<Pending> inflight;
-        std::vector<std::uint8_t> outbuf;
-        std::size_t outpos = 0;
-        bool wantWrite = false;
-        bool dirty = false; //!< queued in dirtyBackends_
         //! Forwards not yet published to `forwarded`/telemetry;
-        //! flushed per loop turn so the hot path touches no atomics.
+        //! published per flush so the hot path touches no atomics.
         std::uint32_t fwdPending = 0;
         // Shared:
         std::atomic<bool> up{false};
@@ -170,91 +176,41 @@ class Router
         telemetry::GaugeId upGauge;
     };
 
-    /** One ordered response slot of a client connection. */
-    struct Slot
-    {
-        std::vector<std::uint8_t> payload; //!< response frame payload
-        bool ready = false;
-    };
-
-    struct RConn
-    {
-        int fd = -1;
-        std::uint32_t id = 0;
-        FrameReader reader;
-        std::deque<Slot> window;
-        std::uint32_t base = 0; //!< abs index of window.front()
-        std::uint32_t next = 0; //!< abs index of the next frame
-        std::vector<std::uint8_t> outbuf;
-        std::size_t outpos = 0;
-        bool wantWrite = false;
-        bool readClosed = false;
-        bool dirty = false; //!< queued in dirtyConns_
-    };
-
-    void loop();
-    void wakeLoop();
-    void handleAccept();
-    void handleClientReadable(RConn *conn);
-    void handleBackendReadable(std::size_t bi);
-    void dispatchFrame(RConn *conn,
+    /** @name Loop-thread data plane (hooks of Loop) */
+    /// @{
+    void dispatchFrame(service::StreamConn &conn,
                        const std::vector<std::uint8_t> &payload);
-    void inlineResponse(RConn *conn, const Request &req, Status status,
-                        std::string text);
-    void completeSlot(std::uint32_t conn_id, std::uint32_t abs_idx,
-                      std::vector<std::uint8_t> &&payload);
+    void backendFrame(std::size_t bi,
+                      const std::vector<std::uint8_t> &payload);
+    void backendLost(std::size_t bi, const char *why);
+    void checkDeadlines(std::uint64_t now_ns);
+    void applyBackendCommands();
+    void publishForwards(Backend &b);
+    /// @}
+    void inlineResponse(service::StreamConn &conn, const Request &req,
+                        Status status, std::string text);
     void sendToBackend(std::size_t bi, Pending &&p,
                        const std::vector<std::uint8_t> &frame);
     bool connectBackend(std::size_t bi, std::string *err);
     void failBackend(std::size_t bi, const char *why);
-    void applyBackendCommands();
     int pickRoundRobin();
     bool backendAlive(int bi) const;
-    void pumpConn(RConn *conn);
-    bool flushConn(RConn *conn);
-    void flushBackend(std::size_t bi);
-    void markConnDirty(RConn *conn);
-    void flushPending();
-    void updateWriteInterest(int fd, bool want, bool want_read);
-    void closeConn(RConn *conn);
-    void tick(std::uint64_t now_ns);
     void proberLoop();
     bool probeBackend(std::size_t bi);
-    std::string healthJsonLocked() const;
 
     const RouterConfig cfg_;
     HashRing ring_;
     std::vector<std::unique_ptr<Backend>> backends_;
+    service::ConnLedger ledger_;
+    std::unique_ptr<Loop> loop_;
     std::unique_ptr<service::HttpServer> http_;
-    std::thread loopThread_;
     std::thread proberThread_;
     int listenFd_ = -1;
-    int epollFd_ = -1;
-    int eventFd_ = -1;
     std::uint16_t port_ = 0;
     bool running_ = false;
-    std::atomic<bool> draining_{false};
     std::atomic<bool> stopProber_{false};
     std::uint64_t startNs_ = 0;
-
-    /** @name Loop-thread-only state */
-    /// @{
-    std::unordered_map<int, std::unique_ptr<RConn>> conns_; //!< by fd
-    std::unordered_map<std::uint32_t, RConn *> connsById_;
-    std::unordered_map<int, std::size_t> backendByFd_;
-    std::uint32_t nextConnId_ = 1;
-    std::uint64_t rr_ = 0; //!< anonymous-entropy round-robin
-    std::uint64_t nowNs_ = 0; //!< refreshed once per loop turn
-    std::uint64_t lastTickNs_ = 0;
-    std::uint64_t drainDeadlineNs_ = 0;
-    std::vector<std::uint8_t> rdbuf_;
-    // Deferred-flush queues: forwarding and completion only append
-    // to out-buffers and mark the owner dirty; flushPending() does
-    // one write pass per loop turn, so a burst of frames costs one
-    // syscall per peer instead of one per frame.
-    std::vector<std::size_t> dirtyBackends_;
-    std::vector<std::uint32_t> dirtyConns_; //!< by conn id
-    /// @}
+    std::uint64_t rr_ = 0; //!< anonymous-entropy round-robin (loop)
 
     /** @name Any-thread counters (mirrored into telemetry) */
     /// @{
@@ -262,17 +218,13 @@ class Router
     std::atomic<std::uint64_t> readmissions_{0};
     std::atomic<std::uint64_t> steered_{0};
     std::atomic<std::uint64_t> capability_{0};
-    std::atomic<std::uint64_t> accepted_{0};
-    std::atomic<std::size_t> liveConns_{0};
     /// @}
 
     /** @name Telemetry ids (interned at construction) */
     /// @{
     telemetry::CounterId forwardedCtr_, replicatedCtr_,
         failedOverCtr_, steeredCtr_, capabilityCtr_, ejectionsCtr_,
-        readmissionsCtr_, acceptedCtr_, badFramesCtr_,
-        readThroughCtr_;
-    telemetry::GaugeId connsGauge_;
+        readmissionsCtr_, readThroughCtr_;
     /// @}
 };
 

@@ -286,7 +286,7 @@ Server::stop()
     if (history_)
         history_->stop();
     inform("service: drained (served %llu connections)",
-           static_cast<unsigned long long>(accepted_.load()));
+           static_cast<unsigned long long>(acceptedConnections()));
 }
 
 std::size_t
@@ -318,8 +318,8 @@ Server::healthJson() const
         stop_.load(std::memory_order_relaxed) ? "draining" : "ok",
         shards_.size(), reactors_.size(), uptime_s,
         activeConnections(),
-        static_cast<unsigned long long>(accepted_.load()),
-        static_cast<unsigned long long>(rejected_.load()),
+        static_cast<unsigned long long>(acceptedConnections()),
+        static_cast<unsigned long long>(rejectedConnections()),
         depths.c_str(), cfg_.shard.queueCapacity);
 }
 

@@ -3,7 +3,7 @@
  * The FracDRAM serving daemon core: a loopback TCP listener in front
  * of a pool of device shards (see shard.hh).
  *
- * Threading model (see reactor.hh for the event-loop details):
+ * Threading model (see loop.hh and reactor.hh for the event loop):
  *   - N reactor threads, each an epoll loop owning a slice of the
  *     connections; reactor 0 also owns the listen socket and hands
  *     accepted connections out round-robin (no accept thread, no
@@ -14,7 +14,7 @@
  * shardable ones (entropy round-robins over shards, PUF routes by
  * device id so enrollments stay on their module), answer
  * HEALTH/STATS inline, and write responses in request order with one
- * writev per connection per loop turn - a pipelining client pays the
+ * write per connection per loop turn - a pipelining client pays the
  * syscall and wakeup cost once per batch, not once per request.
  * Shard completions return to the owning reactor through an
  * eventfd-woken completion queue; out-of-order completions wait in a
@@ -121,10 +121,10 @@ class Server
     /// @{
     std::size_t activeConnections() const
     {
-        return liveConns_.load(std::memory_order_relaxed);
+        return ledger_.live.load(std::memory_order_relaxed);
     }
-    std::uint64_t acceptedConnections() const { return accepted_; }
-    std::uint64_t rejectedConnections() const { return rejected_; }
+    std::uint64_t acceptedConnections() const { return ledger_.accepted; }
+    std::uint64_t rejectedConnections() const { return ledger_.rejected; }
     std::size_t shardQueueDepth(int shard) const;
     int numReactors() const
     {
@@ -179,9 +179,7 @@ class Server
     std::atomic<bool> stop_{false};
     bool running_ = false;
     std::atomic<std::uint64_t> rr_{0}; //!< entropy round-robin
-    std::atomic<std::uint64_t> accepted_{0};
-    std::atomic<std::uint64_t> rejected_{0};
-    std::atomic<std::size_t> liveConns_{0};
+    ConnLedger ledger_; //!< shared by every reactor's cap check
     std::uint64_t startNs_ = 0;
 };
 

@@ -3,7 +3,10 @@
  * Loopback end-to-end tests of the serving daemon: entropy and PUF
  * round trips, HEALTH/STATS introspection, concurrent clients,
  * backpressure (BUSY) under saturation, per-connection rate
- * limiting, the connection cap, and graceful drain.
+ * limiting, the connection cap, and graceful drain. The front-end
+ * contract (connection cap, bad and torn frames, stalled readers,
+ * drain) runs twice: against the daemon and through a one-backend
+ * fracdram router.
  *
  * Every test runs a real Server on an ephemeral loopback port with
  * tiny shards (few columns, small queues) so the whole file stays
@@ -16,9 +19,12 @@
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <string>
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <thread>
 #include <vector>
@@ -26,6 +32,7 @@
 #include "service/client.hh"
 #include "service/http.hh"
 #include "service/net.hh"
+#include "service/router.hh"
 #include "service/server.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/report.hh"
@@ -103,7 +110,93 @@ sendBurst(Client &c, int n, std::uint32_t n_bytes)
         << err;
 }
 
+/** The process a test's client talks to. */
+enum class Front
+{
+    Daemon, //!< the daemon itself
+    Router, //!< a one-backend fracdram router in front of it
+};
+
+/**
+ * Runs a test against the daemon directly and again through a
+ * one-backend Router: both terminate client connections on the same
+ * event-loop core, so the connection cap, bad frames, torn frames,
+ * stalled readers and drain must behave the same. The config's
+ * connection cap applies to the front; a routed daemon keeps the
+ * default cap.
+ */
+class FrontEnd : public ::testing::TestWithParam<Front>
+{
+  protected:
+    void start(ServerConfig cfg)
+    {
+        const std::size_t cap = cfg.maxConnections;
+        if (GetParam() == Front::Router)
+            cfg.maxConnections = ServerConfig{}.maxConnections;
+        daemon = std::make_unique<TestServer>(cfg);
+        if (GetParam() == Front::Daemon)
+            return;
+        fleet::RouterConfig rc;
+        rc.port = 0;
+        rc.backends.push_back({"127.0.0.1", daemon->server.port(), 0});
+        rc.maxConnections = cap;
+        router = std::make_unique<fleet::Router>(rc);
+        std::string err;
+        ASSERT_TRUE(router->start(&err)) << err;
+    }
+
+    std::uint16_t port() const
+    {
+        return router ? router->port() : daemon->server.port();
+    }
+
+    Client connect()
+    {
+        Client c;
+        std::string err;
+        EXPECT_TRUE(c.connect("127.0.0.1", port(), &err)) << err;
+        return c;
+    }
+
+    void stopFront()
+    {
+        if (router)
+            router->stop();
+        else
+            daemon->server.stop();
+    }
+
+    bool frontRunning() const
+    {
+        return router ? router->running() : daemon->server.running();
+    }
+
+    std::uint64_t rejected() const
+    {
+        return router ? router->rejectedConnections()
+                      : daemon->server.rejectedConnections();
+    }
+
+    /** The front's `<family>.bad_frames` counter. */
+    std::uint64_t badFrames() const
+    {
+        const auto snap = telemetry::Metrics::instance().snapshot();
+        const auto it = snap.counters.find(
+            router ? "router.bad_frames" : "service.bad_frames");
+        return it != snap.counters.end() ? it->second : 0;
+    }
+
+    std::unique_ptr<TestServer> daemon;
+    std::unique_ptr<fleet::Router> router; //!< stops before daemon
+};
+
 } // namespace
+
+INSTANTIATE_TEST_SUITE_P(
+    Service, FrontEnd, ::testing::Values(Front::Daemon, Front::Router),
+    [](const ::testing::TestParamInfo<Front> &info) {
+        return info.param == Front::Daemon ? "Daemon" : "Router";
+    });
 
 TEST(Service, EntropyBasic)
 {
@@ -484,13 +577,13 @@ TEST(Service, RateLimitPerConnection)
     EXPECT_TRUE(c.health(json, &err)) << err;
 }
 
-TEST(Service, ConnectionLimit)
+TEST_P(FrontEnd, ConnectionLimit)
 {
     ServerConfig cfg = testConfig(1);
     cfg.maxConnections = 2;
-    TestServer ts(cfg);
-    Client a = ts.connect();
-    Client b = ts.connect();
+    start(cfg);
+    Client a = connect();
+    Client b = connect();
     // Exchange a request on each so both connections are provably
     // registered before the third arrives.
     std::string err, json;
@@ -499,24 +592,24 @@ TEST(Service, ConnectionLimit)
 
     // The third connection gets a BUSY frame, then EOF.
     Client c;
-    ASSERT_TRUE(c.connect("127.0.0.1", ts.server.port(), &err))
+    ASSERT_TRUE(c.connect("127.0.0.1", port(), &err))
         << err;
     Response resp;
     ASSERT_TRUE(c.recv(resp, &err, 10000)) << err;
     EXPECT_EQ(resp.status, Status::Busy);
-    EXPECT_GE(ts.server.rejectedConnections(), 1u);
+    EXPECT_GE(rejected(), 1u);
 }
 
-TEST(Service, GracefulDrain)
+TEST_P(FrontEnd, GracefulDrain)
 {
     // Slow single-job batches so the burst is still queued when
     // stop() lands: the drain contract says every accepted request
     // is answered anyway.
     ServerConfig cfg = testConfig(1);
     cfg.shard.maxBatchJobs = 1;
-    TestServer ts(cfg);
-    const std::uint16_t port = ts.server.port();
-    Client c = ts.connect();
+    start(cfg);
+    const std::uint16_t front_port = port();
+    Client c = connect();
     std::string err;
 
     constexpr int kInFlight = 8;
@@ -527,12 +620,12 @@ TEST(Service, GracefulDrain)
     // pathologically fast worker; the test stays valid either way.
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::seconds(20);
-    while (ts.server.shardQueueDepth(0) == 0 &&
+    while (daemon->server.shardQueueDepth(0) == 0 &&
            std::chrono::steady_clock::now() < deadline) {
         std::this_thread::yield();
     }
-    ts.server.stop();
-    EXPECT_FALSE(ts.server.running());
+    stopFront();
+    EXPECT_FALSE(frontRunning());
 
     // All responses were written before the server closed the
     // connection; they are sitting in our socket buffer.
@@ -551,10 +644,10 @@ TEST(Service, GracefulDrain)
 
     // After the drain the listener is gone.
     Client late;
-    EXPECT_FALSE(late.connect("127.0.0.1", port, &err));
+    EXPECT_FALSE(late.connect("127.0.0.1", front_port, &err));
 
     // stop() is idempotent.
-    ts.server.stop();
+    stopFront();
 }
 
 TEST(Service, RequestIdRoundTripsAndLandsInTraceRing)
@@ -758,10 +851,10 @@ TEST(Service, HealthzFlipsUnderSloBreachAndRecovers)
  * order. Exercises the FrameReader resume path and the reactor's
  * partial-read handling end to end.
  */
-TEST(Service, TornFramesOneBytePerWrite)
+TEST_P(FrontEnd, TornFramesOneBytePerWrite)
 {
-    TestServer ts(testConfig());
-    Client c = ts.connect();
+    start(testConfig());
+    Client c = connect();
     std::string err;
 
     constexpr int kFrames = 3;
@@ -792,10 +885,10 @@ TEST(Service, TornFramesOneBytePerWrite)
 }
 
 /** Same contract under random split points (seeded, reproducible). */
-TEST(Service, TornFramesRandomSplits)
+TEST_P(FrontEnd, TornFramesRandomSplits)
 {
-    TestServer ts(testConfig());
-    Client c = ts.connect();
+    start(testConfig());
+    Client c = connect();
     std::string err;
 
     constexpr int kFrames = 8;
@@ -827,6 +920,93 @@ TEST(Service, TornFramesRandomSplits)
         EXPECT_EQ(resp.data.size(),
                   16u + 16u * static_cast<std::uint32_t>(i));
     }
+}
+
+/**
+ * A header announcing a frame over the ceiling poisons the stream:
+ * the front answers a typed Error and hangs up instead of waiting
+ * for bytes that would never realign it.
+ */
+TEST_P(FrontEnd, OversizedHeaderGetsErrorThenClose)
+{
+    telemetry::setEnabled(true);
+    start(testConfig());
+    Client c = connect();
+    const std::uint64_t bad_before = badFrames();
+    const std::uint32_t n = static_cast<std::uint32_t>(kMaxFrameBytes) + 1;
+    const std::uint8_t header[4] = {
+        static_cast<std::uint8_t>(n & 0xff),
+        static_cast<std::uint8_t>((n >> 8) & 0xff),
+        static_cast<std::uint8_t>((n >> 16) & 0xff),
+        static_cast<std::uint8_t>((n >> 24) & 0xff)};
+    std::string err;
+    ASSERT_TRUE(writeAll(c.fd(), header, sizeof(header), &err)) << err;
+
+    Response resp;
+    ASSERT_TRUE(c.recv(resp, &err, 5000)) << err;
+    EXPECT_EQ(resp.status, Status::Error);
+    EXPECT_NE(resp.text.find("ceiling"), std::string::npos) << resp.text;
+    EXPECT_FALSE(c.recv(resp, &err, 5000));
+    EXPECT_EQ(err.find("timed out"), std::string::npos) << err;
+    EXPECT_EQ(badFrames(), bad_before + 1);
+}
+
+/**
+ * A client that pipelines requests and never reads its answers is
+ * dropped once its output has stalled for the write-stall bound
+ * (5 s, the daemon default and the router's constant), so neither
+ * process buffers answers for it without bound.
+ */
+TEST_P(FrontEnd, StalledReaderIsDropped)
+{
+    // Room for every request in one shard queue, so all of them are
+    // answered with entropy rather than BUSY.
+    constexpr int kRequests = 160;
+    constexpr std::uint32_t kBytes = 64 * 1024;
+    ServerConfig cfg = testConfig();
+    cfg.shard.maxEntropyBytes = kBytes;
+    cfg.shard.queueCapacity = 2 * kRequests;
+    start(cfg);
+
+    // A small receive buffer, set before connect so the window never
+    // shrinks: 10 MiB of answers then overflow what the kernel
+    // buffers on both ends of the loopback connection.
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    const int rcvbuf = 16 * 1024;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port());
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                        sizeof(addr)),
+              0);
+    std::vector<std::uint8_t> wire;
+    for (int i = 0; i < kRequests; ++i) {
+        Request req;
+        req.type = MsgType::GetEntropy;
+        req.seq = static_cast<std::uint16_t>(i + 1);
+        req.nBytes = kBytes;
+        const auto framed = frame(encodeRequest(req));
+        wire.insert(wire.end(), framed.begin(), framed.end());
+    }
+    std::string err;
+    ASSERT_TRUE(writeAll(fd, wire.data(), wire.size(), &err)) << err;
+    std::this_thread::sleep_for(std::chrono::milliseconds(7500));
+
+    // Whatever the kernel still held arrives, then the close - not
+    // the full stream followed by silence.
+    std::size_t received = 0;
+    std::vector<std::uint8_t> buf(1 << 16);
+    int ready;
+    long n = 0;
+    while ((ready = waitReadable(fd, 3000)) > 0 &&
+           (n = readSome(fd, buf.data(), buf.size())) > 0)
+        received += static_cast<std::size_t>(n);
+    closeFd(fd);
+    EXPECT_NE(ready, 0) << "no close after " << received << " bytes";
+    EXPECT_LT(received, std::size_t{kRequests} * kBytes);
 }
 
 /**
