@@ -58,16 +58,11 @@ FracPuf::setUseInDramInit(bool use)
     }
 }
 
-BitVector
-FracPuf::evaluate(const Challenge &challenge)
+void
+FracPuf::fillOnes(const Challenge &challenge)
 {
-    const auto &pc = pufCounters();
-    telemetry::count(pc.evaluations);
-    const telemetry::ScopedTimer timer(pc.evaluateNs);
-    // Initialize the segment to all ones - either one in-DRAM row
-    // copy from a reserved all-ones row (the paper's 88-cycle
-    // preparation) or a plain bus write - then drive the cells
-    // toward V_dd/2 and read out.
+    // Either one in-DRAM row copy from a reserved all-ones row (the
+    // paper's 88-cycle preparation) or a plain bus write.
     if (useInDramInit_) {
         const RowAddr src = reservedOnesRow();
         panic_if(challenge.row == src,
@@ -80,12 +75,43 @@ FracPuf::evaluate(const Challenge &challenge)
     } else {
         mc_.fillRowVoltage(challenge.bank, challenge.row, true);
     }
+}
+
+BitVector
+FracPuf::evaluate(const Challenge &challenge)
+{
+    const auto &pc = pufCounters();
+    telemetry::count(pc.evaluations);
+    const telemetry::ScopedTimer timer(pc.evaluateNs);
+    // Initialize the segment to all ones, then drive the cells toward
+    // V_dd/2 and read out.
+    fillOnes(challenge);
     core::frac(mc_, challenge.bank, challenge.row, numFracs_);
     BitVector response =
         mc_.readRowVoltage(challenge.bank, challenge.row);
     if (discardAfterEvaluate_)
         mc_.chip().bank(challenge.bank).discardRow(challenge.row);
     return response;
+}
+
+void
+FracPuf::replay(const Challenge &challenge, const BitVector &bits)
+{
+    panic_if(bits.size() != mc_.chip().dramParams().colsPerRow,
+             "replayed response has %zu bits, expected %u",
+             bits.size(), mc_.chip().dramParams().colsPerRow);
+    fillOnes(challenge);
+    // toVoltageDomain is its own inverse: this is the logic row the
+    // live sense leaves in the buffer.
+    const BitVector rails =
+        mc_.toVoltageDomain(challenge.bank, challenge.row, bits);
+    sim::Bank &bank = mc_.chip().bank(challenge.bank);
+    bank.setStreamOnly(&rails);
+    core::frac(mc_, challenge.bank, challenge.row, numFracs_);
+    (void)mc_.readRow(challenge.bank, challenge.row);
+    bank.setStreamOnly(nullptr);
+    if (discardAfterEvaluate_)
+        bank.discardRow(challenge.row);
 }
 
 std::vector<BitVector>

@@ -50,6 +50,21 @@ class FracPuf
     /** Evaluate one challenge-response pair. */
     BitVector evaluate(const Challenge &challenge);
 
+    /**
+     * Put the module in the state evaluate(@p challenge) would leave
+     * it in, given that evaluate() would return @p bits. It issues
+     * the same fill, Fracs and readout, with the bank stream-only
+     * (sim::Bank::setStreamOnly) for the Fracs and the readout: the
+     * trial stream advances past the same draws, the clock past the
+     * same cycles and the same rows are materialized, but no Frac
+     * settles and no sense runs - the readout drives the row to the
+     * rails of @p bits instead. Equivalent to evaluate() only when
+     * @p bits is what evaluate() returns in this state, which holds
+     * for a deterministic replay of a recorded history (the shard's
+     * PUF memo); PufReplay.MatchesEvaluateOnRandomPaths checks it.
+     */
+    void replay(const Challenge &challenge, const BitVector &bits);
+
     /** Evaluate a whole challenge set, in order. */
     std::vector<BitVector>
     evaluateAll(const std::vector<Challenge> &challenges);
@@ -96,6 +111,8 @@ class FracPuf
 
   private:
     RowAddr reservedOnesRow() const;
+    /** Set the challenge row to all ones (the fill of evaluate()). */
+    void fillOnes(const Challenge &challenge);
 
     softmc::MemoryController &mc_;
     int numFracs_;

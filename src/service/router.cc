@@ -602,6 +602,14 @@ Router::proberLoop()
     while (!stopProber_.load(std::memory_order_acquire)) {
         for (std::size_t i = 0; i < backends_.size(); ++i) {
             Backend &b = *backends_[i];
+            // A backend without a metrics port is probed only while
+            // ejected. While up, its data connection ejects it on
+            // error, and a TCP probe would prove no more - it would
+            // only cost the daemon an accept and a close, and count
+            // as one of its clients.
+            if (b.addr.metricsPort == 0 &&
+                b.up.load(std::memory_order_relaxed))
+                continue;
             const bool ok = probeBackend(i);
             if (ok) {
                 b.probeFails.store(0, std::memory_order_relaxed);

@@ -28,9 +28,12 @@
  *    (watchdog 503s count as failures); ejectAfter consecutive
  *    failures ejects a daemon from the ring walk, readmitAfter
  *    consecutive successes re-admits it (hysteresis, so a flapping
- *    daemon cannot thrash placement). A dead data connection ejects
- *    immediately, and its in-flight requests are re-routed once via
- *    the ring before the client would see an error,
+ *    daemon cannot thrash placement). A daemon without a metrics
+ *    port gets a TCP connect probe, and only while ejected: while
+ *    it is up, its data connection is the probe. A dead data
+ *    connection ejects immediately, and its in-flight requests are
+ *    re-routed once via the ring before the client would see an
+ *    error,
  *  - observability: /metrics serves the router's own families plus
  *    the per-family sum of every healthy daemon's scrape, /fleet the
  *    topology JSON; client HEALTH/STATS frames are answered inline.

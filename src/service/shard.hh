@@ -28,9 +28,11 @@
  * unbuilt device from it while the life follows a recorded path. The
  * evaluations themselves are deferred: when the life leaves the
  * memo, or needs silicon for entropy, ensureSilicon() builds the
- * device, replays the path and panics if any replayed evaluation
- * differs from its node. Every response is bit-identical to building
- * on every fault.
+ * device and replays the path. The nodes hold the readouts, so a
+ * replay only advances the noise stream past the evaluation's draws
+ * and rails the row to the node's bits (FracPuf::replay), which
+ * leaves the silicon exactly as the evaluation would have. Every
+ * response is bit-identical to building on every fault.
  * Requests without a device id keep hitting the shard's default
  * device, which lives outside the registry and is never evicted, so
  * a v2 client sees the exact pre-fleet behavior.

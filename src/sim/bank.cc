@@ -510,6 +510,12 @@ Bank::commandWrite(Cycles cycle, const BitVector &logic_bits)
                  index_);
         return;
     }
+    writeOpenRows(logic_bits);
+}
+
+void
+Bank::writeOpenRows(const BitVector &logic_bits)
+{
     // Data flows buffer -> bit-lines -> every open cell. The bit-line
     // voltage for logic bit b is b XOR anti(reference row).
     const bool anti = rowIsAnti(refRow_);
@@ -552,26 +558,39 @@ Bank::gatherOpenRows()
 }
 
 void
+Bank::streamOpenRows()
+{
+    for (const auto &o : openRows_) {
+        RowStore &store = ensureRow(o.row, /*values_dead=*/true);
+        leakageStreamOnly(store);
+        ctx_.trialRng.skipGaussians(1); // lognormal jitter
+        store.lastTouch = ctx_.now;
+    }
+}
+
+void
 Bank::fullActivate(bool discard_values)
 {
     panic_if(openRows_.empty(), "fullActivate with no open rows");
     const auto cols = ctx_.params.colsPerRow;
 
-    if (discard_values) {
+    if (discard_values || streamRails_ != nullptr) {
         // Advance the RNG streams exactly as the live path below
         // would - per row the leakage coins and one jitter gaussian,
         // then one sense-noise gaussian per column - without paying
-        // for the physics nobody can observe.
-        for (const auto &o : openRows_) {
-            RowStore &store = ensureRow(o.row, /*values_dead=*/true);
-            leakageStreamOnly(store);
-            ctx_.trialRng.skipGaussians(1); // lognormal jitter
-            store.lastTouch = ctx_.now;
-        }
+        // for physics that nobody can observe (a write follows) or
+        // whose outcome the caller knows (stream-only).
+        streamOpenRows();
         ctx_.trialRng.skipGaussians(cols);
-        rowBufferValid_ = true; // caller overwrites the buffer next
-        if (telemetry::enabled())
-            telemetry::count(bankCounters().discardedActivate);
+        if (discard_values) {
+            rowBufferValid_ = true; // caller overwrites the buffer next
+            if (telemetry::enabled())
+                telemetry::count(bankCounters().discardedActivate);
+            return;
+        }
+        // Stream-only: the caller knows what the sense decided, and
+        // the rails it drove are all the live path leaves behind.
+        writeOpenRows(*streamRails_);
         return;
     }
 
@@ -633,10 +652,22 @@ Bank::interruptedClose()
 {
     panic_if(openRows_.empty(), "interruptedClose with no open rows");
     const auto cols = ctx_.params.colsPerRow;
+    const bool multi_row = openRows_.size() > 1;
+    if (streamRails_ != nullptr) {
+        // Stream-only Frac: the draws of the live path below, no
+        // settle. Its caller rails the row before anything reads it.
+        panic_if(multi_row, "stream-only close of a multi-row "
+                            "activation on bank %u",
+                 index_);
+        streamOpenRows();
+        ctx_.trialRng.skipGaussians(cols);
+        openRows_.clear();
+        rowBufferValid_ = false;
+        return;
+    }
     const Volt vdd = ctx_.env.vdd;
     const Volt half = vdd / 2.0;
     const double cb = ctx_.params.bitlineCapRatio;
-    const bool multi_row = openRows_.size() > 1;
     const double noise_sigma =
         ctx_.profile.saNoiseSigma * ctx_.env.noiseScale();
     const double cell_noise =
@@ -850,6 +881,29 @@ bool
 Bank::rowAllocated(RowAddr row) const
 {
     return rows_.count(row) != 0;
+}
+
+std::vector<RowAddr>
+Bank::allocatedRows() const
+{
+    std::vector<RowAddr> out;
+    out.reserve(rows_.size());
+    for (const auto &entry : rows_)
+        out.push_back(entry.first);
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+std::span<const float>
+Bank::storedVolts(RowAddr row) const
+{
+    return rows_.at(row).volts;
+}
+
+Seconds
+Bank::lastTouch(RowAddr row) const
+{
+    return rows_.at(row).lastTouch;
 }
 
 void

@@ -39,6 +39,7 @@
 #define FRACDRAM_SIM_BANK_HH
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -112,6 +113,14 @@ class Bank
     /** Force a cell voltage (test hook). */
     void setCellVoltage(RowAddr row, ColAddr col, Volt v);
     bool rowAllocated(RowAddr row) const;
+    /** Allocated rows, ascending. */
+    std::vector<RowAddr> allocatedRows() const;
+    /** An allocated row's stored voltages, leakage not applied. */
+    std::span<const float> storedVolts(RowAddr row) const;
+    /** Simulated time an allocated row's voltages were last set. */
+    Seconds lastTouch(RowAddr row) const;
+    /** Row buffer contents (logic domain), valid or not. */
+    const BitVector &rowBuffer() const { return rowBuffer_; }
     /** Drop a row's storage (contents become don't-care). */
     void discardRow(RowAddr row);
     void discardAllRows();
@@ -122,6 +131,23 @@ class Bank
 
     /** Sense-amp offset of a column (volts, delta domain). */
     Volt saOffset(ColAddr col);
+
+    /**
+     * Stream-only state, for replaying an evaluation whose readout is
+     * already known (FracPuf::replay). While set, a single-row
+     * interrupted close and a completing activation draw from the
+     * trial stream exactly what the live path draws - per open row
+     * the leakage coins and one jitter gaussian, then one noise
+     * gaussian per column - but run none of the physics. The close
+     * leaves the cells as they were; the activation drives the open
+     * rows and the row buffer to @p logic_rails, the logic-domain row
+     * the live sense would have produced. nullptr returns the bank to
+     * live operation.
+     */
+    void setStreamOnly(const BitVector *logic_rails)
+    {
+        streamRails_ = logic_rails;
+    }
 
   private:
     enum class Phase
@@ -220,6 +246,15 @@ class Bank
     /** Leak, jitter-weigh and collect the open rows into scratch. */
     void gatherOpenRows();
 
+    /**
+     * Consume gatherOpenRows()'s draws - each open row's leakage
+     * coins and jitter - without leaking or weighing anything.
+     */
+    void streamOpenRows();
+
+    /** Drive every open row and the row buffer to @p logic_bits. */
+    void writeOpenRows(const BitVector &logic_bits);
+
     /** True when the profile's timing checker drops this command. */
     bool checkerDropsAct(Cycles cycle) const;
     bool checkerDropsPre(Cycles cycle) const;
@@ -251,6 +286,7 @@ class Bank
     BitVector rowBuffer_;
     BitVector zeroBuffer_; //!< returned for reads on a closed bank
     bool rowBufferValid_ = false;
+    const BitVector *streamRails_ = nullptr; //!< set: stream-only
 
     std::unordered_map<RowAddr, RowStore> rows_;
     // Kernel operands are cache-line aligned so the SIMD tiers' main

@@ -74,6 +74,9 @@ class DramChip
     /** Simulated wall-clock time in seconds. */
     Seconds now() const { return ctx_.now; }
 
+    /** Per-operation noise stream (white-box: copy it to peek). */
+    const Rng &trialRng() const { return ctx_.trialRng; }
+
     /** Direct bank access (white-box inspection, analysis). */
     Bank &bank(BankAddr b);
 

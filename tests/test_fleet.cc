@@ -547,6 +547,7 @@ class MemoCounters
         telemetry::setEnabled(true);
         hits0_ = counterValue("service.puf_memo_hits");
         replays0_ = counterValue("service.puf_memo_replays");
+        builds0_ = counterValue("service.device_builds");
     }
     ~MemoCounters() { telemetry::setEnabled(wasEnabled_); }
 
@@ -558,10 +559,14 @@ class MemoCounters
     {
         return counterValue("service.puf_memo_replays") - replays0_;
     }
+    std::uint64_t builds() const
+    {
+        return counterValue("service.device_builds") - builds0_;
+    }
 
   private:
     bool wasEnabled_;
-    std::uint64_t hits0_ = 0, replays0_ = 0;
+    std::uint64_t hits0_ = 0, replays0_ = 0, builds0_ = 0;
 };
 
 /**
@@ -869,15 +874,19 @@ TEST(FleetMemo, ThreeAnswersThenABuild)
     EXPECT_EQ(shard.memoNodes(), 3u); // a, a-b, a-b-a
     ask(shard, sink, ++token, entropyFor(other, 8)); // evicts dev
 
+    const std::uint64_t builds = memo.builds(); // dev and other
+    EXPECT_EQ(builds, 2u);
     const auto r1 = ask(shard, sink, ++token, a);
     const auto r2 = ask(shard, sink, ++token, b);
     const auto r3 = ask(shard, sink, ++token, a);
     EXPECT_EQ(memo.hits(), 3u);
     EXPECT_EQ(memo.replays(), 0u);
+    EXPECT_EQ(memo.builds(), builds);
     const auto r4 = ask(shard, sink, ++token, b);
     shard.drainAndStop();
     EXPECT_EQ(memo.hits(), 3u);
     EXPECT_EQ(memo.replays(), 3u);
+    EXPECT_EQ(memo.builds() - builds, 1u);
     EXPECT_EQ(shard.memoNodes(), 3u); // depth 4 is never recorded
 
     ModelDevice m(cfg, dev);
@@ -973,6 +982,7 @@ TEST(FleetMemo, BudgetBoundsTheNodes)
     touch(d1);
     verify(d2, 1, 9); // evicts d3; records d2's b, reclaims d1's two
     EXPECT_EQ(memo.replays(), 2u);
+    EXPECT_EQ(memo.builds(), 4u); // d1, d2, then both again
     EXPECT_EQ(s.shard.memoNodes(), 3u);
     verify(d1, 0, 4); // built by the reclaim, now untracked
     verify(d2, 0, 4); // no room for b-a
@@ -986,6 +996,7 @@ TEST(FleetMemo, BudgetBoundsTheNodes)
     s.shard.drainAndStop();
     EXPECT_EQ(memo.hits(), 4u);
     EXPECT_EQ(memo.replays(), 2u);
+    EXPECT_EQ(memo.builds(), 4u);
     EXPECT_EQ(s.shard.memoNodes(), 3u);
 }
 
@@ -1137,6 +1148,41 @@ TEST(FleetRouter, PlacementSteeringReplicationAndFailover)
     router.stop();
     s0b->stop();
     s1->stop();
+}
+
+TEST(FleetRouter, NoMetricsBackendIsProbedOnlyWhileEjected)
+{
+    // A backend given without a metrics port gets TCP connect probes
+    // only while ejected. While it is up, the only connection the
+    // daemon accepts from the router is the data connection, however
+    // often the prober wakes.
+    std::string err;
+    service::Server daemon(daemonConfig());
+    ASSERT_TRUE(daemon.start(&err)) << err;
+    fleet::RouterConfig rc;
+    rc.port = 0;
+    rc.backends.push_back({"127.0.0.1", daemon.port(), 0});
+    rc.probeIntervalMs = 20;
+    fleet::Router router(rc);
+    ASSERT_TRUE(router.start(&err)) << err;
+    ASSERT_TRUE(router.backendUp(0));
+
+    service::Client client;
+    ASSERT_TRUE(client.connect("127.0.0.1", router.port(), &err))
+        << err;
+    std::vector<std::uint8_t> data;
+    service::Status status{};
+    ASSERT_TRUE(client.getDeviceEntropy(
+        fleet::makeDeviceId(sim::DramGroup::B, 1), 32, false, data,
+        status, &err))
+        << err;
+    EXPECT_EQ(status, service::Status::Ok);
+    std::this_thread::sleep_for(500ms);
+    router.stop();
+
+    EXPECT_EQ(router.ejections(), 0u);
+    EXPECT_EQ(daemon.acceptedConnections(), 1 + router.readmissions());
+    daemon.stop();
 }
 
 } // namespace

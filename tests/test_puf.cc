@@ -5,10 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+#include <random>
+#include <vector>
+
 #include "puf/hamming.hh"
 #include "puf/puf.hh"
 #include "sim/chip.hh"
 #include "softmc/controller.hh"
+#include "trng/quac_trng.hh"
 
 using namespace fracdram;
 using namespace fracdram::sim;
@@ -174,4 +180,128 @@ TEST_F(PufTest, ChallengesAvoidReservedRow)
     const RowAddr reserved = chip.dramParams().rowsPerBank() - 1;
     for (const auto &c : puf.makeChallenges(40))
         EXPECT_NE(c.row, reserved);
+}
+
+namespace
+{
+
+/** A device built the way the serving shard builds one. */
+struct ShardDevice
+{
+    static DramParams paramsFor(DramGroup group)
+    {
+        return isDdr4(group) ? DramParams::ddr4() : DramParams{};
+    }
+
+    ShardDevice(DramGroup group, std::uint64_t serial)
+        : chip(group, serial, paramsFor(group)), mc(chip, false)
+    {
+        if (vendorProfile(group).supportsFourRow)
+            trng = std::make_unique<trng::QuacTrng>(mc);
+        puf = std::make_unique<FracPuf>(mc, 10);
+    }
+
+    DramChip chip;
+    MemoryController mc;
+    std::unique_ptr<trng::QuacTrng> trng;
+    std::unique_ptr<FracPuf> puf;
+};
+
+/** Every piece of chip state a later operation can observe. */
+::testing::AssertionResult
+sameState(DramChip &a, DramChip &b)
+{
+    if (a.now() != b.now())
+        return ::testing::AssertionFailure()
+               << "now " << a.now() << " vs " << b.now();
+    // The next draws, the first of them through the Box-Muller spare.
+    Rng ra = a.trialRng(), rb = b.trialRng();
+    for (int i = 0; i < 3; ++i) {
+        const double ga = ra.gaussian(), gb = rb.gaussian();
+        if (std::memcmp(&ga, &gb, sizeof ga) != 0)
+            return ::testing::AssertionFailure()
+                   << "trial-stream gaussian " << i << " differs";
+    }
+    if (ra.next() != rb.next())
+        return ::testing::AssertionFailure() << "trial stream differs";
+    for (BankAddr k = 0; k < a.dramParams().numBanks; ++k) {
+        Bank &ba = a.bank(k), &bb = b.bank(k);
+        if (!(ba.rowBuffer() == bb.rowBuffer()))
+            return ::testing::AssertionFailure()
+                   << "bank " << k << " row buffer differs";
+        const auto rows = ba.allocatedRows();
+        if (rows != bb.allocatedRows())
+            return ::testing::AssertionFailure()
+                   << "bank " << k << " materialized other rows";
+        for (RowAddr r : rows) {
+            const auto va = ba.storedVolts(r), vb = bb.storedVolts(r);
+            if (std::memcmp(va.data(), vb.data(),
+                            va.size() * sizeof(float)) != 0)
+                return ::testing::AssertionFailure()
+                       << "bank " << k << " row " << r << " volts differ";
+            if (ba.lastTouch(r) != bb.lastTouch(r))
+                return ::testing::AssertionFailure()
+                       << "bank " << k << " row " << r
+                       << " lastTouch differs";
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+} // namespace
+
+TEST(PufReplay, MatchesEvaluateOnRandomPaths)
+{
+    // Seeded evaluation histories of depth <= 6 over 2-4 keys, on
+    // every Frac-capable group (DDR4 group M included). One chip
+    // evaluates the path live; its twin replays it from the live
+    // readouts. The twins must then be indistinguishable: same cell
+    // voltages, clock and noise stream, the same next evaluation of
+    // every key and, where QUAC runs, the same TRNG output.
+    static const DramGroup kGroups[] = {
+        DramGroup::A, DramGroup::B, DramGroup::C, DramGroup::D,
+        DramGroup::E, DramGroup::F, DramGroup::G, DramGroup::H,
+        DramGroup::I, DramGroup::M};
+    std::mt19937_64 rng(1811);
+    std::size_t vrt_cells = 0, anti_keys = 0;
+    for (DramGroup group : kGroups) {
+        for (int trial = 0; trial < 3; ++trial) {
+            const std::uint64_t serial = 500 + rng() % 1000;
+            ShardDevice live(group, serial), replayed(group, serial);
+            const DramParams &p = live.chip.dramParams();
+            std::vector<Challenge> keys(2 + rng() % 3);
+            for (std::size_t i = 0; i < keys.size(); ++i) {
+                // Alternate row parity: odd rows are anti-cell rows
+                // on the groups that have them.
+                keys[i].bank = static_cast<BankAddr>(rng() % p.numBanks);
+                keys[i].row = static_cast<RowAddr>(
+                    (rng() % (p.rowsPerBank() / 2)) * 2 + i % 2);
+                anti_keys += live.chip.rowIsAnti(keys[i].bank,
+                                                 keys[i].row);
+                for (ColAddr c = 0; c < p.colsPerRow; ++c)
+                    vrt_cells += live.chip.variation().cellIsVrt(
+                        keys[i].bank, keys[i].row, c);
+            }
+            const std::size_t depth = 1 + rng() % 6;
+            for (std::size_t d = 0; d < depth; ++d) {
+                const Challenge &k = keys[rng() % keys.size()];
+                replayed.puf->replay(k, live.puf->evaluate(k));
+            }
+            SCOPED_TRACE(::testing::Message()
+                         << "group " << groupName(group) << " serial "
+                         << serial << " depth " << depth);
+            ASSERT_TRUE(sameState(live.chip, replayed.chip));
+            EXPECT_EQ(live.mc.nowCycles(), replayed.mc.nowCycles());
+            for (const Challenge &k : keys)
+                ASSERT_EQ(live.puf->evaluate(k),
+                          replayed.puf->evaluate(k));
+            if (live.trng) {
+                EXPECT_EQ(live.trng->generate(256),
+                          replayed.trng->generate(256));
+            }
+        }
+    }
+    // The paths must exercise the leakage coins and anti-cell rows.
+    EXPECT_GT(vrt_cells, 0u);
+    EXPECT_GT(anti_keys, 0u);
 }
