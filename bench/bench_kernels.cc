@@ -312,12 +312,10 @@ main(int argc, char **argv)
             const auto &f = simd::cpuFeatures();
             std::printf(
                 "{\"resolved\": \"%s\", \"sha_ni_active\": %s, "
-                "\"hw_avx2\": %s, \"hw_avx512\": %s, "
-                "\"hw_sha_ni\": %s}\n",
+                "\"hw_avx2\": %s, \"hw_sha_ni\": %s}\n",
                 simd::isaName(simd::activeIsa()),
                 simd::shaNiActive() ? "true" : "false",
                 f.avx2 ? "true" : "false",
-                f.avx512 ? "true" : "false",
                 f.shaNi ? "true" : "false");
             return 0;
         }

@@ -33,7 +33,7 @@
 # timing loops, not fixed-work drivers. bench_kernels is instead
 # driven explicitly for the "bench_simd" record: the resolved SIMD
 # dispatch tier plus per-kernel ns/elem at every tier this machine
-# can force (FRACDRAM_ISA=scalar/avx2/avx512), so a BENCH file shows
+# can force (FRACDRAM_ISA=scalar/avx2), so a BENCH file shows
 # what the vector paths actually buy on the machine that produced it.
 #
 # The serving pair (fracdram_serve + fracdram_loadgen) is recorded as
@@ -260,7 +260,7 @@ if [[ -x "${kern_bin}" && "${have_python}" -eq 1 ]] &&
     isa_info="$("${kern_bin}" --print-isa)"
     tier_entries=()
     simd_rc=0
-    for tier in scalar avx2 avx512; do
+    for tier in scalar avx2; do
         resolved="$(FRACDRAM_ISA=${tier} "${kern_bin}" --print-isa |
             sed -n 's/.*"resolved": "\([a-z0-9]\{1,\}\)".*/\1/p')"
         if [[ "${resolved}" != "${tier}" ]]; then

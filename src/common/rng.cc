@@ -12,7 +12,7 @@ namespace fracdram
 namespace
 {
 
-/** Raw->uniform/Bernoulli chunk size: 2 KiB of raw words. */
+/** Raw->Bernoulli chunk size: 2 KiB of raw words. */
 constexpr std::size_t kRawChunk = 256;
 
 } // namespace
@@ -65,35 +65,9 @@ Rng::fillGaussian(std::span<double> dst, double mean, double sigma)
         dst[i++] = mean + sigma *
                               (spareLazy_ ? materializeSpare() : spare_);
     }
-    // Uniforms are prefetched in chunks: raw engine words (the serial
-    // xoshiro recurrence cannot vectorize) mapped to doubles by the
-    // SIMD tier, consumed strictly in draw order. Each refill fetches
-    // at most the number of draws the scalar loop is guaranteed to
-    // still make (2 per remaining pair), so the engine never
-    // over-advances; a u1 rejection (raw>>11 == 0, p ~ 2^-53) only
-    // drains the FIFO early, and the tail falls back to live draws
-    // with the identical per-draw expression.
-    std::uint64_t raw[kRawChunk];
-    double uni[kRawChunk];
-    std::size_t avail = 0;
-    std::size_t pos = 0;
-    const auto take = [&]() -> double {
-        return pos < avail ? uni[pos++] : uniform();
-    };
     while (i < n) {
-        if (pos == avail) {
-            const std::size_t want =
-                std::min(kRawChunk, 2 * ((n - i + 1) / 2));
-            for (std::size_t k = 0; k < want; ++k)
-                raw[k] = next();
-            simd::rawOps().uniformMap(uni, raw, want);
-            avail = want;
-            pos = 0;
-        }
-        double u1 = take();
-        while (u1 <= 0.0)
-            u1 = take();
-        const double u2 = take();
+        const double u1 = drawU1();
+        const double u2 = uniform();
         const double r = std::sqrt(-2.0 * std::log(u1));
         const double theta = 2.0 * M_PI * u2;
         // Keep the scalar path's evaluation order: the sine (spare)

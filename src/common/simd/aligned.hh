@@ -2,7 +2,7 @@
  * @file
  * Cache-line / vector-register aligned allocation for the SoA hot
  * arrays. The SIMD kernels use unaligned loads (so any pointer is
- * *correct*), but 64-byte alignment keeps every 512-bit access inside
+ * *correct*), but 64-byte alignment keeps every 256-bit access inside
  * one cache line and lets the hardware prefetcher see clean streams;
  * threading AlignedVector through Bank/RowStore/RngBuffer scratch
  * makes that the default for every kernel operand.

@@ -7,13 +7,6 @@ namespace
 {
 
 void
-uniformMapScalar(double *dst, const std::uint64_t *raw, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        dst[i] = static_cast<double>(raw[i] >> 11) * 0x1.0p-53;
-}
-
-void
 chanceMapScalar(std::uint8_t *dst, const std::uint64_t *raw, double p,
                 std::size_t n)
 {
@@ -22,15 +15,12 @@ chanceMapScalar(std::uint8_t *dst, const std::uint64_t *raw, double p,
             static_cast<double>(raw[i] >> 11) * 0x1.0p-53 < p ? 1 : 0;
 }
 
-const RawOps kScalarOps = {uniformMapScalar, chanceMapScalar};
+const RawOps kScalarOps = {chanceMapScalar};
 
 } // namespace
 
 #if FRACDRAM_HAVE_AVX2
 const RawOps &avx2RawOps(); // ops_avx2.cc
-#endif
-#if FRACDRAM_HAVE_AVX512
-const RawOps &avx512RawOps(); // ops_avx512.cc
 #endif
 
 const RawOps *
@@ -43,12 +33,6 @@ rawOpsForIsa(Isa isa)
 #if FRACDRAM_HAVE_AVX2
         if (cpuFeatures().avx2)
             return &avx2RawOps();
-#endif
-        return nullptr;
-    case Isa::Avx512:
-#if FRACDRAM_HAVE_AVX512
-        if (cpuFeatures().avx512)
-            return &avx512RawOps();
 #endif
         return nullptr;
     }

@@ -3,11 +3,12 @@
  * AVX2 raw-draw maps. Compiled with -mavx2 -mbmi2; only reachable
  * when cpuid reports both (see simd.cc's tier gating).
  *
- * u64 -> double without AVX-512's vcvtuqq2pd: split v = raw >> 11
- * (< 2^53) into hi = v >> 32 (< 2^21) and lo = v & 0xffffffff, turn
- * each into a double with the 2^52 magic-number trick (exact below
- * 2^52), then hi * 2^32 + lo. Every step is exact, so the result is
- * bit-identical to the scalar static_cast.
+ * u64 -> double without a packed u64 convert (AVX2 has none): split
+ * v = raw >> 11 (< 2^53) into hi = v >> 32 (< 2^21) and
+ * lo = v & 0xffffffff, turn each into a double with the 2^52
+ * magic-number trick (exact below 2^52), then hi * 2^32 + lo. Every
+ * step is exact, so the result is bit-identical to the scalar
+ * static_cast.
  */
 
 #include <immintrin.h>
@@ -43,19 +44,6 @@ uniform4(__m256i raw)
 }
 
 void
-uniformMapAvx2(double *dst, const std::uint64_t *raw, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i r = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(raw + i));
-        _mm256_storeu_pd(dst + i, uniform4(r));
-    }
-    for (; i < n; ++i)
-        dst[i] = static_cast<double>(raw[i] >> 11) * 0x1.0p-53;
-}
-
-void
 chanceMapAvx2(std::uint8_t *dst, const std::uint64_t *raw, double p,
               std::size_t n)
 {
@@ -77,7 +65,7 @@ chanceMapAvx2(std::uint8_t *dst, const std::uint64_t *raw, double p,
             static_cast<double>(raw[i] >> 11) * 0x1.0p-53 < p ? 1 : 0;
 }
 
-const RawOps kAvx2Ops = {uniformMapAvx2, chanceMapAvx2};
+const RawOps kAvx2Ops = {chanceMapAvx2};
 
 } // namespace
 

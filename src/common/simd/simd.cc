@@ -13,9 +13,6 @@
 #ifndef FRACDRAM_HAVE_AVX2
 #define FRACDRAM_HAVE_AVX2 0
 #endif
-#ifndef FRACDRAM_HAVE_AVX512
-#define FRACDRAM_HAVE_AVX512 0
-#endif
 #ifndef FRACDRAM_HAVE_SHANI
 #define FRACDRAM_HAVE_SHANI 0
 #endif
@@ -51,19 +48,12 @@ detect()
     if (!osxsave || !avx)
         return f;
     const std::uint64_t xcr0 = readXcr0();
-    const bool ymm_os = (xcr0 & 0x6) == 0x6;   // XMM + YMM state
-    const bool zmm_os = (xcr0 & 0xe6) == 0xe6; // + opmask/ZMM state
+    const bool ymm_os = (xcr0 & 0x6) == 0x6; // XMM + YMM state
     const bool avx2 = (ebx & (1u << 5)) != 0;
     const bool bmi2 = (ebx & (1u << 8)) != 0;
-    const bool avx512f = (ebx & (1u << 16)) != 0;
-    const bool avx512dq = (ebx & (1u << 17)) != 0;
-    const bool avx512bw = (ebx & (1u << 30)) != 0;
-    const bool avx512vl = (ebx & (1u << 31)) != 0;
     // The AVX2 kernels use BMI2 (pdep) for bit<->lane conversion, so
     // the tier requires both; every AVX2 part since Haswell has BMI2.
     f.avx2 = ymm_os && avx2 && bmi2;
-    f.avx512 =
-        zmm_os && f.avx2 && avx512f && avx512dq && avx512bw && avx512vl;
     return f;
 }
 
@@ -81,9 +71,7 @@ detect()
 constexpr Isa
 builtIsa()
 {
-#if FRACDRAM_HAVE_AVX512
-    return Isa::Avx512;
-#elif FRACDRAM_HAVE_AVX2
+#if FRACDRAM_HAVE_AVX2
     return Isa::Avx2;
 #else
     return Isa::Scalar;
@@ -97,8 +85,6 @@ describeRaw(Isa isa)
     std::string hw;
     if (f.avx2)
         hw += " avx2";
-    if (f.avx512)
-        hw += " avx512";
     if (f.shaNi)
         hw += " sha_ni";
     if (hw.empty())
@@ -121,17 +107,14 @@ resolve()
     Isa best = Isa::Scalar;
     if (f.avx2 && builtIsa() >= Isa::Avx2)
         best = Isa::Avx2;
-    if (f.avx512 && builtIsa() >= Isa::Avx512)
-        best = Isa::Avx512;
 
     Isa pick = best;
     const char *env = std::getenv("FRACDRAM_ISA");
     if (env != nullptr && env[0] != '\0') {
         Isa asked;
         if (!parseIsa(env, asked)) {
-            warn("FRACDRAM_ISA='%s' is not scalar|avx2|avx512; "
-                 "using %s",
-                 env, isaName(best));
+            warn("FRACDRAM_ISA='%s' is not scalar|avx2; using %s", env,
+                 isaName(best));
         } else if (asked > best) {
             warn("FRACDRAM_ISA=%s exceeds what this machine/build "
                  "supports; clamping to %s",
@@ -141,19 +124,15 @@ resolve()
         }
     }
     debug_log("simd: resolved %s", describeRaw(pick).c_str());
-    return pick;
-}
 
-/** Gauge publication shared by the resolution and publishIsaGauges. */
-void
-publishFor(Isa isa)
-{
+    // Gauges, so /metrics archives record which path actually ran.
     auto &m = telemetry::Metrics::instance();
     telemetry::setGauge(m.gauge("simd.isa_level"),
-                        static_cast<std::int64_t>(isa));
-    const bool sha = cpuFeatures().shaNi && FRACDRAM_HAVE_SHANI != 0 &&
-                     isa != Isa::Scalar;
+                        static_cast<std::int64_t>(pick));
+    const bool sha = f.shaNi && FRACDRAM_HAVE_SHANI != 0 &&
+                     pick != Isa::Scalar;
     telemetry::setGauge(m.gauge("simd.sha_ni"), sha ? 1 : 0);
+    return pick;
 }
 
 } // namespace
@@ -168,11 +147,7 @@ cpuFeatures()
 Isa
 activeIsa()
 {
-    static const Isa isa = [] {
-        const Isa resolved = resolve();
-        publishFor(resolved);
-        return resolved;
-    }();
+    static const Isa isa = resolve();
     return isa;
 }
 
@@ -194,8 +169,6 @@ isaName(Isa isa)
         return "scalar";
     case Isa::Avx2:
         return "avx2";
-    case Isa::Avx512:
-        return "avx512";
     }
     return "scalar";
 }
@@ -207,8 +180,6 @@ parseIsa(const char *name, Isa &out)
         out = Isa::Scalar;
     else if (std::strcmp(name, "avx2") == 0)
         out = Isa::Avx2;
-    else if (std::strcmp(name, "avx512") == 0)
-        out = Isa::Avx512;
     else
         return false;
     return true;
@@ -218,12 +189,6 @@ std::string
 describeIsa()
 {
     return describeRaw(activeIsa());
-}
-
-void
-publishIsaGauges()
-{
-    publishFor(activeIsa());
 }
 
 } // namespace fracdram::simd

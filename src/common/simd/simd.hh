@@ -10,10 +10,13 @@
  * on first use, behind a function-local static - thread-safe, and
  * cheap enough that dispatch sites just call activeIsa().
  *
- * FRACDRAM_ISA=scalar|avx2|avx512 forces a tier for testing and
- * benching; asking for more than the machine (or the build) supports
- * clamps down with a warning. "scalar" disables *everything*,
- * including SHA-NI, so the fallback paths stay honestly exercised.
+ * There are two tiers, scalar and AVX2+BMI2; SHA-NI rides on the
+ * AVX2 tier for the DRBG. FRACDRAM_ISA=scalar|avx2 forces a tier for
+ * testing and benching; asking for more than the machine (or the
+ * build) supports clamps down with a warning, and any other value
+ * warns and resolves to the best tier. "scalar" disables
+ * *everything*, including SHA-NI, so the fallback paths stay honestly
+ * exercised.
  *
  * Bit-exactness contract: selecting a different ISA never changes any
  * output bit. Integer paths (SHA-256) are trivially exact; the
@@ -34,16 +37,14 @@ namespace fracdram::simd
 enum class Isa : int
 {
     Scalar = 0,
-    Avx2 = 1,   //!< 256-bit, implies BMI2 (Haswell+)
-    Avx512 = 2, //!< 512-bit, requires F+BW+DQ+VL and OS zmm state
+    Avx2 = 1, //!< 256-bit, implies BMI2 (Haswell+)
 };
 
 /** What the silicon (and the OS) can execute, regardless of build. */
 struct CpuFeatures
 {
-    bool avx2 = false;   //!< AVX2 + BMI2, OS ymm state enabled
-    bool avx512 = false; //!< AVX-512 F/BW/DQ/VL, OS zmm state enabled
-    bool shaNi = false;  //!< SHA-NI extension present
+    bool avx2 = false;  //!< AVX2 + BMI2, OS ymm state enabled
+    bool shaNi = false; //!< SHA-NI extension present
 };
 
 /** Detected hardware features (computed once). */
@@ -62,7 +63,7 @@ Isa activeIsa();
  */
 bool shaNiActive();
 
-/** "scalar" / "avx2" / "avx512". */
+/** "scalar" / "avx2". */
 const char *isaName(Isa isa);
 
 /**
@@ -73,17 +74,9 @@ bool parseIsa(const char *name, Isa &out);
 
 /**
  * One-line summary of the resolution for logs and BENCH records,
- * e.g. "avx512 (hw: avx2 avx512 sha_ni; sha: sha_ni)".
+ * e.g. "avx2 (hw: avx2 sha_ni; sha: sha_ni)".
  */
 std::string describeIsa();
-
-/**
- * Register the resolved tier as telemetry gauges (simd.isa_level,
- * simd.sha_ni) so /metrics archives record which path actually ran.
- * Called automatically by the first activeIsa() resolution; safe to
- * call again (idempotent values).
- */
-void publishIsaGauges();
 
 } // namespace fracdram::simd
 

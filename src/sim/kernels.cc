@@ -27,12 +27,6 @@ kernelTableForIsa(simd::Isa isa)
             return &avx2KernelTable();
 #endif
         return nullptr;
-    case simd::Isa::Avx512:
-#if FRACDRAM_HAVE_AVX512
-        if (simd::cpuFeatures().avx512)
-            return &avx512KernelTable();
-#endif
-        return nullptr;
     }
     return nullptr;
 }

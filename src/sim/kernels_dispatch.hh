@@ -2,13 +2,13 @@
  * @file
  * Per-kernel function-pointer table behind sim/kernels.hh.
  *
- * Each compiled tier (kernels_scalar.cc, kernels_avx2.cc,
- * kernels_avx512.cc) exposes one immutable KernelTable; kernels.cc
- * resolves the active table once (simd::activeIsa()) and forwards
- * every public kernel through it. The vector TUs implement only the
- * full-width main loops and delegate their tails to the scalar table,
- * so each element is computed by exactly one expression sequence no
- * matter which tier runs.
+ * Each compiled tier (kernels_scalar.cc, kernels_avx2.cc) exposes
+ * one immutable KernelTable; kernels.cc resolves the active table
+ * once (simd::activeIsa()) and forwards every public kernel through
+ * it. The AVX2 TU implements only the full-width main loops and
+ * delegates its tails to the scalar table, so each element is
+ * computed by exactly one expression sequence no matter which tier
+ * runs.
  *
  * This header is internal to sim/ and the ISA-equivalence tests;
  * everything else calls the plain functions in kernels.hh.
@@ -63,10 +63,6 @@ const KernelTable &scalarKernelTable();
 #if FRACDRAM_HAVE_AVX2
 /** AVX2 tier (kernels_avx2.cc; present when the build compiled it). */
 const KernelTable &avx2KernelTable();
-#endif
-#if FRACDRAM_HAVE_AVX512
-/** AVX-512 tier (kernels_avx512.cc). */
-const KernelTable &avx512KernelTable();
 #endif
 
 /**

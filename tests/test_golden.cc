@@ -14,10 +14,7 @@
  *     FRACDRAM_GOLDEN_REGEN=1 ./build/tests/test_golden
  *
  * prints the current digests in copy-pasteable form; paste them over
- * the kGolden* constants below. The digests are only valid for the
- * default build flags: FRACDRAM_NATIVE=ON builds may fuse
- * multiply-add chains differently (FMA), so the comparisons are
- * skipped there (the regenerate mode still works).
+ * the kGolden* constants below.
  */
 
 #include <cstdlib>
@@ -77,10 +74,6 @@ checkDigest(const char *name, const char *expected,
                     actual.c_str());
         return;
     }
-#ifdef FRACDRAM_NATIVE_BUILD
-    GTEST_SKIP() << "FRACDRAM_NATIVE changes FP contraction; golden "
-                    "digests only hold for the default build flags";
-#endif
     EXPECT_EQ(actual, expected)
         << name << " drifted: the studies no longer produce "
         << "bit-identical output. If the change is intentional, "
