@@ -1,6 +1,7 @@
 #include "common/rng.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -120,6 +121,21 @@ Rng::skipGaussians(std::size_t n)
         hasSpare_ = true;
         --n;
     }
+}
+
+std::uint64_t
+Rng::fingerprint() const
+{
+    std::uint64_t h = 0x66696e6765727072ULL; // "fingerpr"
+    for (const std::uint64_t lane : s_)
+        h = mixSeed(h, lane);
+    if (!hasSpare_)
+        return mixSeed(h, 0);
+    if (!spareLazy_)
+        return mixSeed(mixSeed(h, 1), std::bit_cast<std::uint64_t>(spare_));
+    return mixSeed(mixSeed(mixSeed(h, 2),
+                           std::bit_cast<std::uint64_t>(spareU1_)),
+                   std::bit_cast<std::uint64_t>(spareU2_));
 }
 
 double

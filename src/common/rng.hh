@@ -189,6 +189,17 @@ class Rng
      */
     void skipGaussians(std::size_t n);
 
+    /**
+     * A 64-bit digest of everything that decides the stream's later
+     * draws: the four xoshiro words and the Box-Muller spare cache.
+     * Equal states give equal fingerprints; unequal ones collide with
+     * probability about 2^-64. A spare held lazily (by skipGaussians)
+     * and the same spare held as a value fingerprint apart, so a
+     * fingerprint match is a sufficient test of equal streams, not a
+     * necessary one.
+     */
+    std::uint64_t fingerprint() const;
+
   private:
     static std::uint64_t rotl(std::uint64_t x, int k)
     {

@@ -62,12 +62,6 @@ counters()
  *  asks would capture a shard for seconds. */
 constexpr std::size_t kMaxRawBytes = 4096;
 
-/** Deepest evaluation history the PUF memo records, and so the most
- *  evaluations a build replays. A replay is a noise-stream skip
- *  (about 25 us at 1024 columns), so the bound is on memo bytes: a
- *  level deeper adds nodes that hold cols/8 bytes each. */
-constexpr std::uint32_t kMemoDepth = 3;
-
 /** Whether an entropy request addresses a registry device. */
 bool
 hasDeviceId(const Request &req)
@@ -178,7 +172,7 @@ Shard::evictOne()
     victim->trng.reset();
     victim->mc.reset();
     victim->chip.reset();
-    victim->cursor = kMemoRoot;
+    victim->life = Life{};
     victim->resident = false;
     --resident_;
     telemetry::count(counters().deviceEvictions);
@@ -210,25 +204,22 @@ Shard::ensureSilicon(DeviceState &dev)
 {
     if (dev.built())
         return;
-    panic_if(dev.cursor == kUntracked,
+    panic_if(dev.life.untracked,
              "device %u: unbuilt with an untracked life", dev.id);
     buildDevice(dev, fleet::deviceGroup(dev.id),
                 cfg_.serialBase + fleet::kDeviceSerialOffset + dev.id);
     telemetry::count(counters().deviceBuilds);
-    // Replay the evaluations the memo answered, oldest first, so the
-    // silicon is in the state it would have had if it had been built
-    // on the fault. Each node holds its evaluation's readout, so a
-    // replay only advances the noise stream and rails the row
-    // (FracPuf::replay); the memo rests on those evaluations being
-    // deterministic, which PufReplay.* and the FleetMemo model
-    // tests check.
-    std::array<std::uint32_t, kMemoDepth> path{};
-    std::size_t n = 0;
-    for (std::uint32_t at = dev.cursor; at != kMemoRoot;
-         at = dev.memo[at].parent)
-        path[n++] = at;
-    while (n > 0) {
-        const MemoNode &node = dev.memo[path[--n]];
+    dev.pristineFp = dev.chip->trialRng().fingerprint();
+    // Replay the evaluations the memo answered, in the life's order,
+    // so the silicon is in the state it would have had if it had
+    // been built on the fault: only the next answer, the stream and
+    // the clock are order-free, the other rows' voltages are not.
+    // Each node holds its evaluation's readout, so a replay only
+    // advances the noise stream and rails the row (FracPuf::replay);
+    // the memo rests on those evaluations being deterministic, which
+    // PufReplay.* and the FleetMemo model tests check.
+    for (std::uint32_t i = 0; i < dev.life.depth; ++i) {
+        const MemoNode &node = dev.memo[dev.life.path[i]];
         dev.puf->replay({node.key.first, node.key.second}, node.bits);
         telemetry::count(counters().pufMemoReplays);
     }
@@ -240,79 +231,122 @@ Shard::useSiliconForEntropy(DeviceState &dev)
     ensureSilicon(dev);
     // The TRNG disturbs the silicon, so its state stops being a
     // function of the life's PUF keys.
-    dev.cursor = kUntracked;
+    dev.life.untracked = true;
+}
+
+Shard::Multiset
+Shard::lifeMultiset(const DeviceState &dev)
+{
+    const Life &life = dev.life;
+    panic_if(life.depth >= kMemoDepth,
+             "device %u: a life %u deep has no memo multiset", dev.id,
+             life.depth);
+    Multiset keys{};
+    for (std::uint32_t i = 0; i < life.depth; ++i)
+        keys[i] = dev.memo[life.path[i]].key;
+    std::sort(keys.begin(), keys.begin() + life.depth);
+    return keys;
 }
 
 std::optional<std::uint32_t>
-Shard::memoChild(const std::vector<MemoNode> &memo,
-                 std::uint32_t parent, const PufKey &key)
+Shard::memoNode(const DeviceState &dev, const PufKey &key)
 {
-    for (std::uint32_t i = 0; i < memo.size(); ++i)
-        if (memo[i].parent == parent && memo[i].key == key)
+    const Life &life = dev.life;
+    if (life.untracked || life.depth >= kMemoDepth)
+        return std::nullopt;
+    const Multiset prior = lifeMultiset(dev);
+    // The stream check turns a stream that does depend on the order
+    // (a rejected raw zero in drawU1, p = 2^-53 per draw; DESIGN.md
+    // section 5j) into a miss.
+    const std::uint64_t fp =
+        life.depth == 0 ? dev.pristineFp
+                        : dev.memo[life.path[life.depth - 1]].fpAfter;
+    for (std::uint32_t i = 0; i < dev.memo.size(); ++i) {
+        const MemoNode &node = dev.memo[i];
+        if (node.depth == life.depth + 1 && node.key == key &&
+            node.fpBefore == fp && node.prior == prior)
             return i;
+    }
     return std::nullopt;
 }
 
 void
-Shard::advanceCursor(DeviceState &dev, const PufKey &key,
-                     bool enrolled, const BitVector &bits)
+Shard::recordEvaluation(DeviceState &dev, const PufKey &key,
+                        bool enrolled, std::uint64_t fp_before,
+                        const BitVector &bits)
 {
-    if (dev.cursor == kUntracked)
+    Life &life = dev.life;
+    if (life.untracked)
         return;
-    const std::uint32_t depth =
-        dev.cursor == kMemoRoot ? 1 : dev.memo[dev.cursor].depth + 1;
+    const std::uint32_t depth = life.depth + 1;
     // Depth-1 nodes are bounded by the enrollments themselves; deeper
-    // ones take what the enrollments leave of maxEnrollments.
+    // ones take what the enrollments leave of maxEnrollments, making
+    // room from an evicted device's deeper nodes when it is full.
     const bool fits =
-        depth == 1 ||
-        (depth <= kMemoDepth &&
-         enrolledTotal_ + deeperNodes_ < cfg_.maxEnrollments);
-    if (!enrolled || !fits) {
-        dev.cursor = kUntracked;
+        enrolled &&
+        (depth == 1 ||
+         (depth <= kMemoDepth &&
+          (enrolledTotal_ + deeperNodes_ < cfg_.maxEnrollments ||
+           reclaimDeeperNodes(/*evicted_only=*/true))));
+    if (!fits) {
+        life.untracked = true;
         return;
     }
-    if (depth == 1 && memoNodes_ >= cfg_.maxEnrollments)
-        reclaimDeeperNodes();
-    dev.memo.push_back(MemoNode{dev.cursor, key, depth, bits});
-    dev.cursor = static_cast<std::uint32_t>(dev.memo.size() - 1);
+    if (depth == 1 && memoNodes_ >= cfg_.maxEnrollments) {
+        const bool reclaimed = reclaimDeeperNodes(/*evicted_only=*/false);
+        panic_if(!reclaimed, "memo over budget without deeper nodes");
+    }
+    dev.memo.push_back(MemoNode{lifeMultiset(dev), key, depth, fp_before,
+                                dev.chip->trialRng().fingerprint(),
+                                bits});
+    life.path[life.depth++] =
+        static_cast<std::uint32_t>(dev.memo.size() - 1);
     ++memoNodes_;
     if (depth > 1)
         ++deeperNodes_;
     publishRegistry();
 }
 
-void
-Shard::reclaimDeeperNodes()
+bool
+Shard::reclaimDeeperNodes(bool evicted_only)
 {
-    // Enrollments made after deeper nodes filled the budget: drop
-    // every deeper node of one device. A life standing on them is
-    // built (replaying them) and leaves the trie.
+    // Drop every deeper node of one device: the least recently used
+    // one that has any, evicted devices first. A life standing on
+    // them is built (replaying them) and leaves the memo.
     auto deep = [](const MemoNode &node) { return node.depth > 1; };
-    const auto victim =
-        std::find_if(registry_.begin(), registry_.end(),
-                     [&](const auto &entry) {
-                         return std::any_of(entry.second.memo.begin(),
-                                            entry.second.memo.end(),
-                                            deep);
-                     });
-    panic_if(victim == registry_.end(),
-             "memo over budget without deeper nodes");
-    DeviceState &dev = victim->second;
-    const std::uint32_t depth =
-        dev.cursor == kMemoRoot || dev.cursor == kUntracked
-            ? 0
-            : dev.memo[dev.cursor].depth;
-    if (depth > 1) {
-        ensureSilicon(dev);
-        dev.cursor = kUntracked;
+    DeviceState *victim = nullptr;
+    for (auto &entry : registry_) {
+        DeviceState &cand = entry.second;
+        if ((evicted_only && cand.resident) ||
+            std::none_of(cand.memo.begin(), cand.memo.end(), deep))
+            continue;
+        if (!victim || std::pair(cand.resident, cand.lastUsedTick) <
+                           std::pair(victim->resident, victim->lastUsedTick))
+            victim = &cand;
     }
-    const PufKey at = depth == 1 ? dev.memo[dev.cursor].key : PufKey{};
+    if (!victim)
+        return false;
+    DeviceState &dev = *victim;
+    Life &life = dev.life;
+    if (!life.untracked && life.depth > 1) {
+        ensureSilicon(dev);
+        life.untracked = true;
+    }
+    const bool on_first = !life.untracked && life.depth == 1;
+    const PufKey at = on_first ? dev.memo[life.path[0]].key : PufKey{};
     const std::size_t dropped = std::erase_if(dev.memo, deep);
     memoNodes_ -= dropped;
     deeperNodes_ -= dropped;
-    // Depth-1 nodes hang off the root; only their indices moved.
-    if (depth == 1)
-        dev.cursor = *memoChild(dev.memo, kMemoRoot, at);
+    // Depth-1 nodes all start from the pristine stream, one per key;
+    // only their indices moved.
+    if (on_first)
+        life.path[0] = static_cast<std::uint32_t>(
+            std::find_if(dev.memo.begin(), dev.memo.end(),
+                         [&](const MemoNode &node) {
+                             return node.key == at;
+                         }) -
+            dev.memo.begin());
+    return true;
 }
 
 void
@@ -560,17 +594,22 @@ Shard::handlePuf(const Request &req)
         return resp;
     }
     telemetry::count(counters().pufEvals);
-    std::optional<std::uint32_t> child;
-    if (!dev.built())
-        child = memoChild(dev.memo, dev.cursor, key);
-    if (child) {
-        // The memo holds this evaluation of the life's history. Defer
-        // running it until the silicon is needed.
-        dev.cursor = *child;
-        resp.bits = dev.memo[*child].bits;
+    const std::optional<std::uint32_t> node = memoNode(dev, key);
+    std::uint64_t fp_before = 0;
+    if (node) {
+        // The memo holds this evaluation of the life. An unbuilt
+        // device defers running it until the silicon is needed; a
+        // built one replays it, which is exact and cheaper.
+        resp.bits = dev.memo[*node].bits;
+        if (dev.built()) {
+            dev.puf->replay({req.bank, req.row}, resp.bits);
+            telemetry::count(counters().pufMemoReplays);
+        }
+        dev.life.path[dev.life.depth++] = *node;
         telemetry::count(counters().pufMemoHits);
     } else {
         ensureSilicon(dev);
+        fp_before = dev.chip->trialRng().fingerprint();
         resp.bits = dev.puf->evaluate({req.bank, req.row});
     }
     if (req.type == MsgType::PufEnroll) {
@@ -587,8 +626,9 @@ Shard::handlePuf(const Request &req)
                       resp.bits.hammingDistance(it->second))
                 : kNoHamming;
     }
-    if (!child)
-        advanceCursor(dev, key, it != dev.enrolled.end(), resp.bits);
+    if (!node)
+        recordEvaluation(dev, key, it != dev.enrolled.end(), fp_before,
+                         resp.bits);
     return resp;
 }
 

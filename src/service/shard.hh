@@ -19,20 +19,21 @@
  * continues where it left off and enrolled references still verify.
  *
  * A resident device builds its silicon only when an operation needs
- * it. Rebuilt silicon replays the same trial-noise stream, so a life
- * that has only run PUF evaluations since its build is in a state
- * that depends only on the ordered keys it evaluated: evaluation k
- * of the life is a pure function of (device, key 1..k). The registry
- * memoizes those evaluations in a per-device trie keyed by the
- * life's evaluation history, up to three deep, and answers an
- * unbuilt device from it while the life follows a recorded path. The
- * evaluations themselves are deferred: when the life leaves the
- * memo, or needs silicon for entropy, ensureSilicon() builds the
- * device and replays the path. The nodes hold the readouts, so a
- * replay only advances the noise stream past the evaluation's draws
- * and rails the row to the node's bits (FracPuf::replay), which
- * leaves the silicon exactly as the evaluation would have. Every
- * response is bit-identical to building on every fault.
+ * it. Rebuilt silicon replays the same trial-noise stream, and a
+ * life that has only run PUF evaluations since its build answers
+ * its next evaluation, draws its noise stream and keeps its clock as
+ * a function of the multiset of keys it evaluated, not of their
+ * order (DESIGN.md section 5j argues why). The registry memoizes
+ * evaluations per device keyed by that multiset and the key, up to
+ * four evaluations into a life, and answers an unbuilt device from
+ * the memo while the life stays in it. The evaluations themselves
+ * are deferred: when the life leaves the memo, or needs silicon for
+ * entropy, ensureSilicon() builds the device and replays the life's
+ * own ordered path. The nodes hold the readouts, so a replay only
+ * advances the noise stream past the evaluation's draws and rails
+ * the row to the node's bits (FracPuf::replay), which leaves the
+ * silicon exactly as the evaluation would have. Every response is
+ * bit-identical to building on every fault.
  * Requests without a device id keep hitting the shard's default
  * device, which lives outside the registry and is never evicted, so
  * a v2 client sees the exact pre-fleet behavior.
@@ -164,6 +165,12 @@ class Shard
      */
     bool submit(Job &&job);
 
+    /**
+     * Most evaluations of one device life the PUF memo records, and
+     * so the most a build replays (DESIGN.md section 5j).
+     */
+    static constexpr std::uint32_t kMemoDepth = 4;
+
     int index() const { return index_; }
     std::size_t queueDepth() const { return queue_.size(); }
     std::size_t queueCapacity() const { return queue_.capacity(); }
@@ -183,7 +190,7 @@ class Shard
     {
         return evictionsPub_.load(std::memory_order_relaxed);
     }
-    /** PUF memo trie nodes across all registry devices. */
+    /** PUF memo nodes across all registry devices. */
     std::size_t memoNodes() const
     {
         return memoNodesPub_.load(std::memory_order_relaxed);
@@ -192,42 +199,52 @@ class Shard
 
   private:
     using PufKey = std::pair<std::uint32_t, std::uint32_t>; //!< bank, row
+    /**
+     * The keys a life evaluated before a node's evaluation, sorted;
+     * the slots past the life's depth hold PufKey{}.
+     */
+    using Multiset = std::array<PufKey, kMemoDepth - 1>;
 
     /**
-     * One node of a device's evaluation-history trie: the result of
-     * evaluating `key` on silicon that, since its build, has run
-     * exactly the evaluations on the path from the root to `parent`.
-     * Such evaluations are deterministic, so a node never changes
-     * once recorded (cols/8 bytes of bits each; the shard's node
-     * count is bounded by maxEnrollments, DESIGN.md section 5j).
+     * One memoized evaluation: the result of evaluating `key` on
+     * silicon that, since its build, has run exactly the evaluations
+     * of `prior` in some order, with the trial stream at `fpBefore`
+     * (Rng::fingerprint). Such evaluations are deterministic, so a
+     * node never changes once recorded (cols/8 bytes of bits each;
+     * the shard's node count is bounded by maxEnrollments, DESIGN.md
+     * section 5j).
      */
     struct MemoNode
     {
-        std::uint32_t parent; //!< node index, or kMemoRoot
+        Multiset prior; //!< the earlier evaluations' keys
         PufKey key;
-        std::uint32_t depth; //!< evaluations on the path, this one incl.
+        std::uint32_t depth; //!< evaluations of the life, this one incl.
+        std::uint64_t fpBefore; //!< trial stream before the evaluation
+        std::uint64_t fpAfter;  //!< ... and after it
         BitVector bits;
     };
 
-    /** @name Cursor values besides a node index */
-    /// @{
-    /** The life has run nothing since its build (or has no build). */
-    static constexpr std::uint32_t kMemoRoot = 0xffffffffu;
-    /** The life's silicon state is no longer a path of the trie. */
-    static constexpr std::uint32_t kUntracked = 0xfffffffeu;
-    /// @}
+    /** Where a device life stands in its memo. */
+    struct Life
+    {
+        /** The nodes of the life's evaluations, oldest first. */
+        std::array<std::uint32_t, kMemoDepth> path{};
+        std::uint32_t depth = 0; //!< used entries of path
+        /** The silicon's state is no longer a function of path. */
+        bool untracked = false;
+    };
 
     /**
      * One simulated device, in one of three states:
      * - evicted: not resident, no silicon;
      * - resident and unbuilt: counted against the residency cap but
-     *   holding no silicon. Its cursor is the root or a memo node:
-     *   the evaluations answered from the memo this life, which the
-     *   silicon has not run yet;
-     * - resident and built: holding silicon. The cursor is the trie
-     *   path the silicon has run, or kUntracked once the life ran
-     *   anything the trie does not hold (an unenrolled key, a path
-     *   too deep or over budget, a DRBG reseed or raw entropy).
+     *   holding no silicon. Its life's path is the evaluations
+     *   answered from the memo, which the silicon has not run yet;
+     * - resident and built: holding silicon. The life's path is the
+     *   evaluations the silicon has run, until the life runs anything
+     *   the memo does not hold (an unenrolled key, a life too deep or
+     *   a node over budget, a DRBG reseed or raw entropy) and becomes
+     *   untracked.
      * The unique_ptr quartet is the "heavy" half - about 52 KB at
      * 1024 columns once a couple of PUF rows are materialized
      * (DESIGN.md section 5j) - and is what eviction destroys.
@@ -236,7 +253,7 @@ class Shard
      * (group, serial), rebuilding the quartet restores bit-identical
      * silicon, and the persistent DRBG/enrollment state makes the
      * round trip observable only as a latency blip. Eviction ends the
-     * life: the cursor returns to the root, the trie stays.
+     * life: the next one starts from an empty path, the memo stays.
      */
     struct DeviceState
     {
@@ -253,8 +270,10 @@ class Shard
         std::size_t poolPos = 0;
         /** Enrolled keys and their last enrollment's response. */
         std::map<PufKey, BitVector> enrolled;
-        std::vector<MemoNode> memo;     //!< evaluation-history trie
-        std::uint32_t cursor = kMemoRoot; //!< this life's place in it
+        std::vector<MemoNode> memo; //!< evaluations by prior multiset
+        Life life;                  //!< this life's place in the memo
+        /** Trial-stream fingerprint of a fresh build (set by builds). */
+        std::uint64_t pristineFp = 0;
         std::uint32_t id = 0;           //!< fleet id (registry only)
         bool resident = false;          //!< counted against the cap
         std::uint64_t lastUsedTick = 0; //!< LRU stamp
@@ -284,12 +303,19 @@ class Shard
     DeviceState *resolveDevice(std::uint32_t id);
     void ensureSilicon(DeviceState &dev);
     void useSiliconForEntropy(DeviceState &dev);
+    /** The keys of a life shallower than kMemoDepth, sorted. */
+    static Multiset lifeMultiset(const DeviceState &dev);
     static std::optional<std::uint32_t>
-    memoChild(const std::vector<MemoNode> &memo, std::uint32_t parent,
-              const PufKey &key);
-    void advanceCursor(DeviceState &dev, const PufKey &key,
-                       bool enrolled, const BitVector &bits);
-    void reclaimDeeperNodes();
+    memoNode(const DeviceState &dev, const PufKey &key);
+    void recordEvaluation(DeviceState &dev, const PufKey &key,
+                          bool enrolled, std::uint64_t fp_before,
+                          const BitVector &bits);
+    /**
+     * Drop the deeper nodes of the least recently used device that
+     * has any (only evicted ones with @p evicted_only).
+     * @return false when no device qualifies
+     */
+    bool reclaimDeeperNodes(bool evicted_only);
     bool evictOne();
     void publishRegistry();
     void refillPool(DeviceState &dev, std::size_t need_bytes);
@@ -309,7 +335,7 @@ class Shard
     std::unordered_map<std::uint32_t, DeviceState> registry_;
     std::size_t resident_ = 0; //!< resident registry entries
     std::size_t enrolledTotal_ = 0; //!< references across all devices
-    std::size_t memoNodes_ = 0;     //!< trie nodes across all devices
+    std::size_t memoNodes_ = 0;     //!< memo nodes across all devices
     std::size_t deeperNodes_ = 0;   //!< ... of them at depth >= 2
     std::uint64_t opTick_ = 0;      //!< LRU clock
     std::uint64_t batchEpoch_ = 0;  //!< process() call counter

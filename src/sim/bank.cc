@@ -34,7 +34,7 @@ struct BankCounters
     telemetry::CounterId halfmClose, halfmCells, halfmEngaged;
     telemetry::CounterId decay, decayCells;
     telemetry::CounterId restoreTruncate, restoreTruncateCells;
-    telemetry::CounterId refreshRows, rowCopy, glitchOpen;
+    telemetry::CounterId refreshRows, rowCopy, glitchOpen, rowParams;
     telemetry::CounterId checkerDropAct, checkerDropPre;
     telemetry::CounterId discardedActivate;
 
@@ -59,6 +59,7 @@ struct BankCounters
         refreshRows = m.counter("sim.bank.refresh_rows");
         rowCopy = m.counter("sim.bank.row_copy");
         glitchOpen = m.counter("sim.bank.glitch_open");
+        rowParams = m.counter("sim.bank.row_params");
         checkerDropAct = m.counter("sim.bank.checker_drop_act");
         checkerDropPre = m.counter("sim.bank.checker_drop_pre");
         discardedActivate =
@@ -143,7 +144,7 @@ Bank::ensureRow(RowAddr row, bool values_dead)
              "row %u out of range (bank has %u rows)", row,
              ctx_.params.rowsPerBank());
     // Single hash probe: default-construct in place, materialize the
-    // manufacturing parameters only on first touch.
+    // cell storage and VRT flags only on first touch.
     auto [it, inserted] = rows_.try_emplace(row);
     RowStore &store = it->second;
     if (!inserted)
@@ -151,51 +152,72 @@ Bank::ensureRow(RowAddr row, bool values_dead)
 
     const auto cols = ctx_.params.colsPerRow;
     store.volts.resize(cols);
-    store.alpha.resize(cols);
-    store.tau.resize(cols);
-    store.coupling.resize(cols);
-    store.fracOff.resize(cols);
     store.lastTouch = ctx_.now;
     Scratch &s = scratch();
     s.matStartup.resize(cols);
-    s.matAlpha.resize(cols);
-    s.matTau.resize(cols);
-    s.matCpl.resize(cols);
-    s.matOff.resize(cols);
     s.matVrt.resize(cols);
     // A row whose first touch is a write-resolved activation never
     // exposes its power-up contents; skip that (independent) stream.
+    // The leakage coins draw per VRT cell, so the flags are needed
+    // even by a row that is only ever written.
     ctx_.variation.materializeRow(
-        index_, row, cols,
-        values_dead ? nullptr : s.matStartup.data(), s.matAlpha.data(),
-        s.matTau.data(), s.matCpl.data(), s.matOff.data(),
-        s.matVrt.data());
+        index_, row, cols, values_dead ? nullptr : s.matStartup.data(),
+        nullptr, nullptr, nullptr, nullptr, s.matVrt.data());
     const float vdd = static_cast<float>(ctx_.env.vdd);
-    const double ratio = ctx_.profile.vrtFastRatio;
-    double min_tau = std::numeric_limits<double>::infinity();
     for (ColAddr c = 0; c < cols; ++c) {
         if (!values_dead)
             store.volts[c] = s.matStartup[c] ? vdd : 0.0f;
-        store.alpha[c] = static_cast<float>(s.matAlpha[c]);
-        store.tau[c] = static_cast<float>(s.matTau[c]);
-        store.coupling[c] = static_cast<float>(s.matCpl[c]);
-        store.fracOff[c] = static_cast<float>(s.matOff[c]);
-        // Same double expressions decayEntry() divides by.
-        const double tau = static_cast<double>(store.tau[c]);
-        min_tau = std::min(min_tau, tau);
-        if (s.matVrt[c]) {
+        if (s.matVrt[c])
             store.vrtIdx.push_back(c);
-            min_tau = std::min(min_tau, tau * ratio);
-        }
     }
-    store.decayFloor = min_tau;
     return store;
 }
 
 void
-Bank::applyLeakage(RowAddr row)
+Bank::ensureParams(RowAddr row, RowStore &store)
 {
-    applyLeakage(ensureRow(row));
+    if (!store.alpha.empty())
+        return;
+    const auto cols = ctx_.params.colsPerRow;
+    store.alpha.resize(cols);
+    store.tau.resize(cols);
+    store.coupling.resize(cols);
+    store.fracOff.resize(cols);
+    Scratch &s = scratch();
+    s.matAlpha.resize(cols);
+    s.matTau.resize(cols);
+    s.matCpl.resize(cols);
+    s.matOff.resize(cols);
+    // Pure functions of (serial, bank, row, col): when they are
+    // computed cannot change them.
+    ctx_.variation.materializeRow(index_, row, cols, nullptr,
+                                  s.matAlpha.data(), s.matTau.data(),
+                                  s.matCpl.data(), s.matOff.data(),
+                                  nullptr);
+    // Same double expressions decayEntry() divides by.
+    double min_tau = std::numeric_limits<double>::infinity();
+    for (ColAddr c = 0; c < cols; ++c) {
+        store.alpha[c] = static_cast<float>(s.matAlpha[c]);
+        store.tau[c] = static_cast<float>(s.matTau[c]);
+        store.coupling[c] = static_cast<float>(s.matCpl[c]);
+        store.fracOff[c] = static_cast<float>(s.matOff[c]);
+        min_tau = std::min(min_tau, static_cast<double>(store.tau[c]));
+    }
+    const double ratio = ctx_.profile.vrtFastRatio;
+    for (std::uint32_t c : store.vrtIdx)
+        min_tau =
+            std::min(min_tau, static_cast<double>(store.tau[c]) * ratio);
+    store.decayFloor = min_tau;
+    if (telemetry::enabled())
+        telemetry::count(bankCounters().rowParams);
+}
+
+Bank::RowStore &
+Bank::liveRow(RowAddr row)
+{
+    RowStore &store = ensureRow(row);
+    ensureParams(row, store);
+    return store;
 }
 
 const Bank::DecayEntry &
@@ -548,7 +570,7 @@ Bank::gatherOpenRows()
 {
     open_.clear();
     for (const auto &o : openRows_) {
-        RowStore &store = ensureRow(o.row);
+        RowStore &store = liveRow(o.row);
         applyLeakage(store);
         const double jitter = ctx_.trialRng.lognormal(
             0.0, ctx_.profile.trialJitterSigma);
@@ -831,6 +853,7 @@ Bank::refreshAllRows()
     ensureSaOffsets();
     Scratch &sc = scratch();
     for (auto &[row, store] : rows_) {
+        ensureParams(row, store);
         applyLeakage(store);
         const double jitter = ctx_.trialRng.lognormal(
             0.0, ctx_.profile.trialJitterSigma);
@@ -863,7 +886,7 @@ Volt
 Bank::cellVoltage(RowAddr row, ColAddr col)
 {
     panic_if(col >= ctx_.params.colsPerRow, "col %u out of range", col);
-    RowStore &store = ensureRow(row);
+    RowStore &store = liveRow(row);
     applyLeakage(store);
     return store.volts[col];
 }
@@ -872,7 +895,7 @@ void
 Bank::setCellVoltage(RowAddr row, ColAddr col, Volt v)
 {
     panic_if(col >= ctx_.params.colsPerRow, "col %u out of range", col);
-    RowStore &store = ensureRow(row);
+    RowStore &store = liveRow(row);
     applyLeakage(store);
     store.volts[col] = static_cast<float>(v);
 }

@@ -17,9 +17,11 @@
  *    Sec. II-D). A trailing back-to-back PRE then interrupts the
  *    multi-row activation (the Half-m mechanism, Sec. III-B).
  *
- * Cell state is allocated lazily per row; every manufacturing
- * parameter is materialized from the module's VariationMap when a row
- * is first touched.
+ * Cell state is allocated lazily per row. A row's first touch
+ * materializes its voltages and VRT flags from the module's
+ * VariationMap; its other manufacturing parameters wait for the
+ * first operation that reads the cells, so a row that is only ever
+ * written (or replayed stream-only) never computes them.
  *
  * The analog hot paths run on the columnar kernels (sim/kernels):
  * noise is drawn row-wide through a per-thread RngBuffer in exactly
@@ -162,7 +164,7 @@ class Bank
      * Cached per-cell decay multipliers for one leakage exp factor
      * (factor = -dt * leakageScale): mul[c] = exp(factor / tau[c]),
      * fastMul[k] = exp(factor / (tau[vrtIdx[k]] * vrtFastRatio)).
-     * tau is immutable after row materialization, so entries stay
+     * tau never changes once materialized, so entries stay
      * valid for the row's lifetime.
      */
     struct DecayEntry
@@ -172,6 +174,11 @@ class Bank
         std::vector<double> fastMul;
     };
 
+    /**
+     * One row's cell state. volts, vrtIdx and lastTouch exist from
+     * the first touch; the parameters (alpha, tau, coupling, fracOff
+     * and decayFloor) stay empty until ensureParams().
+     */
     struct RowStore
     {
         std::vector<float> volts;
@@ -199,13 +206,23 @@ class Bank
     };
 
     /**
-     * Find or materialize a row's storage. With @p values_dead the
+     * Find or materialize a row's storage: its voltages, VRT flags
+     * and lastTouch, not its parameters. With @p values_dead the
      * caller guarantees every cell voltage is overwritten before any
      * observation, so the (independent) power-up stream is skipped.
+     * Enough for the paths that only write cells or only advance the
+     * trial stream.
      */
     RowStore &ensureRow(RowAddr row, bool values_dead = false);
-    void applyLeakage(RowAddr row);
-    /** Leakage on an already-resolved store (saves the row lookup). */
+    /**
+     * Materialize a row's parameters if it has none yet (counted in
+     * sim.bank.row_params). Every path that reads the cells calls it
+     * before applying leakage.
+     */
+    void ensureParams(RowAddr row, RowStore &store);
+    /** ensureRow() plus ensureParams(): a row about to be read. */
+    RowStore &liveRow(RowAddr row);
+    /** Leak a row with parameters up to the current time. */
     void applyLeakage(RowStore &store);
     /**
      * Consume the RNG draws of applyLeakage without touching the

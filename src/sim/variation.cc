@@ -171,44 +171,47 @@ VariationMap::materializeRow(BankAddr bank, RowAddr row,
                              mixSeedWithTag(p_startup, ct), 0.5)
                              ? 1
                              : 0;
-        const bool slow = Rng::firstChance(mixSeedWithTag(p_slow, ct),
-                                           profile_.slowCellFraction);
-        {
-            Rng r(mixSeedWithTag(p_alpha, ct));
-            alpha[c] = slow ? profile_.slowCellAlpha *
-                                  (0.5 + r.uniform())
-                            : r.beta(profile_.settleAlphaA,
-                                     profile_.settleAlphaB);
+        if (alpha) {
+            const bool slow = Rng::firstChance(mixSeedWithTag(p_slow, ct),
+                                               profile_.slowCellFraction);
+            {
+                Rng r(mixSeedWithTag(p_alpha, ct));
+                alpha[c] = slow ? profile_.slowCellAlpha *
+                                      (0.5 + r.uniform())
+                                : r.beta(profile_.settleAlphaA,
+                                         profile_.settleAlphaB);
+            }
+            const bool leaky =
+                Rng::firstChance(mixSeedWithTag(p_leaky, ct),
+                                 profile_.leakyCellFraction);
+            {
+                Rng r(mixSeedWithTag(p_tau, ct));
+                double t = median_s *
+                           std::exp(profile_.tauSigma *
+                                    r.gaussianNoSpare());
+                if (slow)
+                    t *= profile_.slowCellTauBoost;
+                if (leaky)
+                    t *= profile_.leakyTauScale;
+                tau[c] = t;
+            }
+            {
+                // lognormal(0, sigma) = exp(0 + sigma * N(0, 1)).
+                Rng r(mixSeedWithTag(p_coupling, ct));
+                coupling[c] = std::exp(
+                    0.0 + profile_.couplingSigma * r.gaussianNoSpare());
+            }
+            {
+                Rng r(mixSeedWithTag(p_frac, ct));
+                frac_off[c] = 0.0 + profile_.cellFracOffsetSigma *
+                                        r.gaussianNoSpare();
+            }
         }
-        const bool leaky =
-            Rng::firstChance(mixSeedWithTag(p_leaky, ct),
-                             profile_.leakyCellFraction);
-        {
-            Rng r(mixSeedWithTag(p_tau, ct));
-            double t = median_s *
-                       std::exp(profile_.tauSigma *
-                                r.gaussianNoSpare());
-            if (slow)
-                t *= profile_.slowCellTauBoost;
-            if (leaky)
-                t *= profile_.leakyTauScale;
-            tau[c] = t;
-        }
-        {
-            // lognormal(0, sigma) = exp(0 + sigma * N(0, 1)).
-            Rng r(mixSeedWithTag(p_coupling, ct));
-            coupling[c] = std::exp(
-                0.0 + profile_.couplingSigma * r.gaussianNoSpare());
-        }
-        {
-            Rng r(mixSeedWithTag(p_frac, ct));
-            frac_off[c] = 0.0 + profile_.cellFracOffsetSigma *
-                                    r.gaussianNoSpare();
-        }
-        vrt[c] = Rng::firstChance(mixSeedWithTag(p_vrt, ct),
-                                  profile_.vrtFraction)
-                     ? 1
-                     : 0;
+        if (vrt)
+            vrt[c] = Rng::firstChance(mixSeedWithTag(p_vrt, ct),
+                                      profile_.vrtFraction)
+                         ? 1
+                         : 0;
     }
 }
 

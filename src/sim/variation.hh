@@ -82,10 +82,13 @@ class VariationMap
      * row-invariant prefix of each stream's seed chain and computes
      * the shared slow/leaky draws once per cell instead of once per
      * accessor. Every output array must hold @p cols elements.
-     * @p startup may be null to skip the power-up-content stream
-     * entirely (legal because the streams are independent hashes; use
-     * when the row's initial voltages are known to be overwritten
-     * before anything observes them).
+     * Each stream is an independent hash, so any output may be
+     * skipped by passing null: @p startup when the row's initial
+     * voltages are overwritten before anything observes them, the
+     * four parameter arrays (@p alpha, @p tau, @p coupling and
+     * @p frac_off, null together) for a row that has only been
+     * written so far, and @p vrt for a row whose VRT flags are
+     * already known.
      */
     void materializeRow(BankAddr bank, RowAddr row, std::size_t cols,
                         std::uint8_t *startup, double *alpha,

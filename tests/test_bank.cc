@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <memory>
@@ -25,6 +27,7 @@
 #include "puf/puf.hh"
 #include "sim/chip.hh"
 #include "softmc/controller.hh"
+#include "telemetry/metrics.hh"
 
 using namespace fracdram;
 using namespace fracdram::sim;
@@ -693,4 +696,138 @@ TEST(BankScratch, ConcurrentChipsMatchSerialDigests)
     EXPECT_EQ(db[1], serial[3]);
     // Distinct silicon: the digests really depend on the chip.
     EXPECT_NE(serial[0], serial[1]);
+}
+
+namespace
+{
+
+std::uint64_t
+counterNow(const char *name)
+{
+    const auto snap = telemetry::Metrics::instance().snapshot();
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+}
+
+/** Everything a later operation can observe of two rows. */
+struct StubRun
+{
+    std::vector<float> volts;     //!< both rows, stored
+    std::vector<float> decayed;   //!< both rows, after more leakage
+    std::vector<std::uint64_t> draws; //!< next trial-stream draws
+    BitVector readout;
+    std::vector<std::uint64_t> paramsAfter; //!< row_params deltas
+    std::uint64_t truncations = 0;
+};
+
+/**
+ * Write rows @p a and @p b (b with a truncated restore), leak, Frac
+ * and read @p a, leak, refresh the bank. With @p read_first both
+ * rows are first materialized by a live read (cellVoltage);
+ * otherwise the writes touch them first and leave stubs, so the Frac
+ * is row a's first live read and the refresh row b's.
+ */
+StubRun
+stubRun(std::uint64_t serial, BankAddr bank, RowAddr a, RowAddr b,
+        bool read_first)
+{
+    DramChip chip(DramGroup::B, serial, smallParams());
+    chip.env().temperatureC = kHottestC;
+    StubRun run;
+    const std::uint64_t params0 = counterNow("sim.bank.row_params");
+    const std::uint64_t trunc0 = counterNow("sim.kernel.restore_truncate");
+    auto mark = [&] {
+        run.paramsAfter.push_back(counterNow("sim.bank.row_params") -
+                                  params0);
+    };
+    if (read_first) {
+        (void)chip.bank(bank).cellVoltage(a, 0);
+        (void)chip.bank(bank).cellVoltage(b, 0);
+    }
+    Cycles t = 100;
+    writeRowHigh(chip, t, bank, a, true);
+    // Row b's write closes before tRAS: the restore truncation scales
+    // its cells toward Vdd/2, a volts-only operation.
+    chip.act(t, bank, b);
+    chip.write(t + 6, bank,
+               BitVector(chip.dramParams().colsPerRow,
+                         chip.rowIsAnti(bank, b)));
+    chip.pre(t + 8, bank);
+    t += 14;
+    run.truncations = counterNow("sim.kernel.restore_truncate") - trunc0;
+    mark();
+    chip.advanceTime(5.0);
+    chip.act(t, bank, a); // Frac
+    chip.pre(t + 1, bank);
+    t += 10;
+    chip.flushAll(t);
+    mark();
+    chip.advanceTime(5.0);
+    chip.act(t, bank, a);
+    t += 6;
+    run.readout = chip.read(t, bank);
+    t += 8;
+    chip.pre(t, bank);
+    t += 6;
+    chip.flushAll(t);
+    chip.advanceTime(5.0);
+    chip.refresh(t);
+    mark();
+    for (RowAddr r : {a, b}) {
+        const auto v = chip.bank(bank).storedVolts(r);
+        run.volts.insert(run.volts.end(), v.begin(), v.end());
+    }
+    Rng next = chip.trialRng();
+    for (int i = 0; i < 3; ++i)
+        run.draws.push_back(
+            std::bit_cast<std::uint64_t>(next.gaussian()));
+    run.draws.push_back(next.next());
+    chip.advanceTime(600.0);
+    for (RowAddr r : {a, b}) {
+        const auto v = rowVoltages(chip, bank, r);
+        run.decayed.insert(run.decayed.end(), v.begin(), v.end());
+    }
+    return run;
+}
+
+} // namespace
+
+TEST(BankStubRows, WrittenFirstMatchesReadFirst)
+{
+    // A row first touched by a write-resolved activation is a stub
+    // (voltages, VRT flags, lastTouch) until its first live read
+    // materializes the other parameters. Twins that differ only in
+    // that order must stay indistinguishable: stored voltages, the
+    // readout, the trial stream (the VRT cells' leakage coins) and
+    // the decay.
+    constexpr std::uint64_t kSerial = 31;
+    constexpr BankAddr kBank = 1;
+    const DramChip probe(DramGroup::B, kSerial, smallParams());
+    std::vector<RowAddr> vrt_rows;
+    for (RowAddr r = 0; r < probe.dramParams().rowsPerBank(); ++r) {
+        bool vrt = false;
+        for (ColAddr c = 0; c < probe.dramParams().colsPerRow; ++c)
+            vrt |= probe.variation().cellIsVrt(kBank, r, c);
+        if (vrt)
+            vrt_rows.push_back(r);
+    }
+    ASSERT_GE(vrt_rows.size(), 2u);
+    const RowAddr a = vrt_rows[0], b = vrt_rows[1];
+
+    const bool was_enabled = telemetry::enabled();
+    telemetry::setEnabled(true);
+    const StubRun stub = stubRun(kSerial, kBank, a, b, false);
+    const StubRun full = stubRun(kSerial, kBank, a, b, true);
+    telemetry::setEnabled(was_enabled);
+    // The writes leave two stubs; the Frac gives row a its
+    // parameters and the refresh row b.
+    EXPECT_EQ(stub.paramsAfter, (std::vector<std::uint64_t>{0, 1, 2}));
+    EXPECT_EQ(full.paramsAfter, (std::vector<std::uint64_t>{2, 2, 2}));
+    EXPECT_EQ(stub.truncations, 1u);
+    EXPECT_EQ(std::memcmp(stub.volts.data(), full.volts.data(),
+                          stub.volts.size() * sizeof(float)),
+              0);
+    EXPECT_EQ(stub.readout, full.readout);
+    EXPECT_EQ(stub.draws, full.draws);
+    EXPECT_EQ(stub.decayed, full.decayed);
 }

@@ -849,11 +849,11 @@ TEST(FleetMemo, DeepLivesMatchTheModel)
     EXPECT_GT(memo.replays(), 0u);
 }
 
-TEST(FleetMemo, ThreeAnswersThenABuild)
+TEST(FleetMemo, FourAnswersThenABuild)
 {
-    // A life that follows a recorded path three deep is answered
-    // without silicon; its fourth evaluation builds the device,
-    // replays all three and must equal one chip that ran all four.
+    // A life whose evaluations are recorded four deep is answered
+    // without silicon; its fifth evaluation builds the device,
+    // replays all four and must equal one chip that ran all five.
     const MemoCounters memo;
     service::ShardConfig cfg = smallShardConfig();
     cfg.maxResidentDevices = 1;
@@ -871,7 +871,9 @@ TEST(FleetMemo, ThreeAnswersThenABuild)
     const auto ref_b = ask(shard, sink, ++token,
                            pufFor(service::MsgType::PufEnroll, dev, 1, 8));
     ask(shard, sink, ++token, a);
-    EXPECT_EQ(shard.memoNodes(), 3u); // a, a-b, a-b-a
+    ask(shard, sink, ++token, b);
+    // {}+a, {a}+b, {a,b}+a, {a,a,b}+b
+    EXPECT_EQ(shard.memoNodes(), 4u);
     ask(shard, sink, ++token, entropyFor(other, 8)); // evicts dev
 
     const std::uint64_t builds = memo.builds(); // dev and other
@@ -879,31 +881,127 @@ TEST(FleetMemo, ThreeAnswersThenABuild)
     const auto r1 = ask(shard, sink, ++token, a);
     const auto r2 = ask(shard, sink, ++token, b);
     const auto r3 = ask(shard, sink, ++token, a);
-    EXPECT_EQ(memo.hits(), 3u);
+    const auto r4 = ask(shard, sink, ++token, b);
+    EXPECT_EQ(memo.hits(), 4u);
     EXPECT_EQ(memo.replays(), 0u);
     EXPECT_EQ(memo.builds(), builds);
-    const auto r4 = ask(shard, sink, ++token, b);
+    const auto r5 = ask(shard, sink, ++token, a);
     shard.drainAndStop();
-    EXPECT_EQ(memo.hits(), 3u);
-    EXPECT_EQ(memo.replays(), 3u);
+    EXPECT_EQ(memo.hits(), 4u);
+    EXPECT_EQ(memo.replays(), 4u);
     EXPECT_EQ(memo.builds() - builds, 1u);
-    EXPECT_EQ(shard.memoNodes(), 3u); // depth 4 is never recorded
+    EXPECT_EQ(shard.memoNodes(), 4u); // depth 5 is never recorded
 
     ModelDevice m(cfg, dev);
     EXPECT_EQ(r1.bits, m.evaluate(0, 3));
     EXPECT_EQ(r2.bits, m.evaluate(1, 8));
     EXPECT_EQ(r3.bits, m.evaluate(0, 3));
     EXPECT_EQ(r4.bits, m.evaluate(1, 8));
+    EXPECT_EQ(r5.bits, m.evaluate(0, 3));
     EXPECT_EQ(r1.hamming, 0u);
     EXPECT_EQ(r2.hamming, 0u);
     EXPECT_EQ(r3.hamming, r3.bits.hammingDistance(ref_a.bits));
     EXPECT_EQ(r4.hamming, r4.bits.hammingDistance(ref_b.bits));
+    EXPECT_EQ(r5.hamming, r5.bits.hammingDistance(ref_a.bits));
+}
+
+TEST(FleetMemo, PermutedLivesShareNodes)
+{
+    // A node is keyed by the multiset of the life's earlier
+    // evaluations, so lives that ran the same keys in another order
+    // share it. Life 1 runs a, b; life 2 runs b, a, then a; life 3
+    // runs a, b, a, and its third evaluation is the node life 2
+    // recorded after b, a: answered with no build.
+    const MemoCounters memo;
+    service::ShardConfig cfg = smallShardConfig();
+    cfg.maxResidentDevices = 1;
+    CheckedShard s(cfg);
+    const std::uint32_t dev = fleet::makeDeviceId(sim::DramGroup::E, 7);
+    const std::uint32_t other = fleet::makeDeviceId(sim::DramGroup::B, 7);
+    using service::MsgType;
+    auto verify = [&](std::uint32_t bank, std::uint32_t row) {
+        return s.run(pufFor(MsgType::PufResponse, dev, bank, row));
+    };
+    auto evict = [&] {
+        EXPECT_EQ(s.run(pufFor(MsgType::PufResponse, other, 99, 0)).status,
+                  service::Status::Error);
+    };
+
+    s.run(pufFor(MsgType::PufEnroll, dev, 0, 5)); // a
+    s.run(pufFor(MsgType::PufEnroll, dev, 1, 6)); // b
+    EXPECT_EQ(s.shard.memoNodes(), 2u); // {}+a, {a}+b
+    evict();
+    verify(1, 6); // {}+b: builds
+    verify(0, 5); // {b}+a
+    verify(0, 5); // {a,b}+a
+    EXPECT_EQ(memo.hits(), 0u);
+    EXPECT_EQ(memo.builds(), 2u);
+    EXPECT_EQ(s.shard.memoNodes(), 5u);
+    evict();
+    verify(0, 5);
+    verify(1, 6);
+    verify(0, 5);
+    EXPECT_EQ(memo.hits(), 3u);
+    EXPECT_EQ(memo.builds(), 2u);
+    evict();
+    verify(1, 6);
+    verify(0, 5);
+    verify(0, 5);
+    s.shard.drainAndStop();
+    EXPECT_EQ(memo.hits(), 6u);
+    EXPECT_EQ(memo.replays(), 0u);
+    EXPECT_EQ(memo.builds(), 2u);
+    EXPECT_EQ(s.shard.memoNodes(), 5u);
+}
+
+TEST(FleetMemo, DepthFourFillsTwentyNodesPerDevice)
+{
+    // Two keys give 2 + 4 + 6 + 8 = 20 (multiset, key) nodes up to
+    // depth 4. With a budget of exactly 20 per device, lives running
+    // every sequence of length 4 fill it, after which every life of
+    // length <= 4 is answered without a build.
+    const MemoCounters memo;
+    service::ShardConfig cfg = smallShardConfig();
+    cfg.maxResidentDevices = 1;
+    static const sim::DramGroup kGroups[] = {
+        sim::DramGroup::B, sim::DramGroup::G, sim::DramGroup::M};
+    cfg.maxEnrollments = 20 * std::size(kGroups);
+    CheckedShard s(cfg);
+    static const std::uint32_t kRows[] = {4, 11};
+    std::vector<std::uint32_t> devices;
+    for (sim::DramGroup g : kGroups)
+        devices.push_back(fleet::makeDeviceId(g, 33));
+    for (std::uint32_t dev : devices)
+        for (std::uint32_t row : kRows)
+            s.run(pufFor(service::MsgType::PufEnroll, dev, 1, row));
+    // Each life runs the keys the bits of `seq` pick, lowest first.
+    // The device switch evicts the previous life.
+    auto lives = [&](std::uint32_t length) {
+        for (std::uint32_t seq = 0; seq < (1u << length); ++seq)
+            for (std::uint32_t dev : devices)
+                for (std::uint32_t i = 0; i < length; ++i)
+                    EXPECT_EQ(s.run(pufFor(service::MsgType::PufResponse,
+                                           dev, 1,
+                                           kRows[(seq >> i) & 1]))
+                                  .status,
+                              service::Status::Ok);
+    };
+    lives(4);
+    EXPECT_EQ(s.shard.memoNodes(), cfg.maxEnrollments);
+
+    const std::uint64_t hits = memo.hits(), builds = memo.builds();
+    for (std::uint32_t length = 1; length <= 4; ++length)
+        lives(length);
+    s.shard.drainAndStop();
+    EXPECT_EQ(memo.hits() - hits, 3u * (2 + 8 + 24 + 64));
+    EXPECT_EQ(memo.builds(), builds);
+    EXPECT_EQ(s.shard.memoNodes(), cfg.maxEnrollments);
 }
 
 TEST(FleetMemo, EntropyUntracksTheLife)
 {
     // Raw entropy runs the TRNG on the silicon, so the life's state
-    // stops being a path of the trie: its later evaluations run live,
+    // stops being a path of the memo: its later evaluations run live,
     // match a chip that ran the same operations, and record nothing.
     const MemoCounters memo;
     service::ShardConfig cfg = smallShardConfig();
@@ -966,16 +1064,16 @@ TEST(FleetMemo, BudgetBoundsTheNodes)
     s.run(pufFor(MsgType::PufEnroll, d1, 0, 4));
     s.run(pufFor(MsgType::PufEnroll, d1, 1, 9));
     verify(d1, 0, 4);
-    EXPECT_EQ(s.shard.memoNodes(), 3u); // a, a-b, a-b-a
+    EXPECT_EQ(s.shard.memoNodes(), 3u); // {}+a, {a}+b, {a,b}+a
     touch(d2);
     touch(d3); // evicts d1
     verify(d1, 0, 4);
     verify(d1, 1, 9);
-    EXPECT_EQ(memo.hits(), 2u); // d1 is unbuilt at a-b
+    EXPECT_EQ(memo.hits(), 2u); // d1 is unbuilt at {a,b}
 
     s.run(pufFor(MsgType::PufEnroll, d2, 0, 4)); // evicts d3
     s.run(pufFor(MsgType::PufEnroll, d2, 1, 9));
-    EXPECT_EQ(s.shard.memoNodes(), 4u); // no room for d2's a-b
+    EXPECT_EQ(s.shard.memoNodes(), 4u); // no room for d2's {a}+b
 
     touch(d1);
     touch(d3); // evicts d2
@@ -985,7 +1083,7 @@ TEST(FleetMemo, BudgetBoundsTheNodes)
     EXPECT_EQ(memo.builds(), 4u); // d1, d2, then both again
     EXPECT_EQ(s.shard.memoNodes(), 3u);
     verify(d1, 0, 4); // built by the reclaim, now untracked
-    verify(d2, 0, 4); // no room for b-a
+    verify(d2, 0, 4); // no room for {b}+a
     EXPECT_EQ(memo.hits(), 2u);
     EXPECT_EQ(s.shard.memoNodes(), 3u);
 
@@ -997,6 +1095,57 @@ TEST(FleetMemo, BudgetBoundsTheNodes)
     EXPECT_EQ(memo.hits(), 4u);
     EXPECT_EQ(memo.replays(), 2u);
     EXPECT_EQ(memo.builds(), 4u);
+    EXPECT_EQ(s.shard.memoNodes(), 3u);
+}
+
+TEST(FleetMemo, EvictedDevicesMakeRoom)
+{
+    // maxEnrollments = 6 over devices with room for one. Once the
+    // deeper nodes fill what the four enrollments leave, a new deeper
+    // node takes the place of an evicted device's deeper nodes
+    // instead of going unrecorded. (BudgetBoundsTheNodes shows that a
+    // resident device's nodes are not taken.)
+    const MemoCounters memo;
+    service::ShardConfig cfg = smallShardConfig();
+    cfg.maxResidentDevices = 1;
+    cfg.maxEnrollments = 6;
+    CheckedShard s(cfg);
+    const std::uint32_t d1 = fleet::makeDeviceId(sim::DramGroup::C, 31);
+    const std::uint32_t d2 = fleet::makeDeviceId(sim::DramGroup::H, 32);
+    const std::uint32_t other = fleet::makeDeviceId(sim::DramGroup::B, 33);
+    using service::MsgType;
+    auto verify = [&](std::uint32_t dev, std::uint32_t row) {
+        return s.run(pufFor(MsgType::PufResponse, dev, 0, row));
+    };
+    auto evict = [&] {
+        EXPECT_EQ(s.run(pufFor(MsgType::PufResponse, other, 99, 0)).status,
+                  service::Status::Error);
+    };
+
+    s.run(pufFor(MsgType::PufEnroll, d1, 0, 3)); // a
+    s.run(pufFor(MsgType::PufEnroll, d1, 0, 8)); // b
+    s.run(pufFor(MsgType::PufEnroll, d2, 0, 3)); // evicts d1
+    s.run(pufFor(MsgType::PufEnroll, d2, 0, 8));
+    EXPECT_EQ(s.shard.memoNodes(), 4u); // {}+a and {a}+b of each
+    verify(d2, 3); // full: {a,b}+a takes d1's {a}+b
+    EXPECT_EQ(s.shard.memoNodes(), 4u);
+    EXPECT_EQ(memo.builds(), 2u);
+
+    evict();
+    verify(d2, 3);
+    verify(d2, 8);
+    verify(d2, 3);
+    EXPECT_EQ(memo.hits(), 3u);
+    EXPECT_EQ(memo.builds(), 2u);
+
+    verify(d1, 3); // evicts d2
+    // {a}+b is gone: the build replays a, and the evaluation records
+    // {a}+b again in place of d2's two deeper nodes.
+    verify(d1, 8);
+    s.shard.drainAndStop();
+    EXPECT_EQ(memo.hits(), 4u);
+    EXPECT_EQ(memo.replays(), 1u);
+    EXPECT_EQ(memo.builds(), 3u);
     EXPECT_EQ(s.shard.memoNodes(), 3u);
 }
 

@@ -5,13 +5,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "puf/hamming.hh"
 #include "puf/puf.hh"
+#include "service/shard.hh"
 #include "sim/chip.hh"
 #include "softmc/controller.hh"
 #include "trng/quac_trng.hh"
@@ -194,7 +200,13 @@ struct ShardDevice
     }
 
     ShardDevice(DramGroup group, std::uint64_t serial)
-        : chip(group, serial, paramsFor(group)), mc(chip, false)
+        : ShardDevice(group, serial, paramsFor(group))
+    {
+    }
+
+    ShardDevice(DramGroup group, std::uint64_t serial,
+                const DramParams &params)
+        : chip(group, serial, params), mc(chip, false)
     {
         if (vendorProfile(group).supportsFourRow)
             trng = std::make_unique<trng::QuacTrng>(mc);
@@ -304,4 +316,120 @@ TEST(PufReplay, MatchesEvaluateOnRandomPaths)
     // The paths must exercise the leakage coins and anti-cell rows.
     EXPECT_GT(vrt_cells, 0u);
     EXPECT_GT(anti_keys, 0u);
+}
+
+namespace
+{
+
+/** The next draws of a trial stream, the first through its spare. */
+std::array<std::uint64_t, 4>
+nextDraws(Rng r)
+{
+    std::array<std::uint64_t, 4> out{};
+    for (int i = 0; i < 3; ++i)
+        out[i] = std::bit_cast<std::uint64_t>(r.gaussian());
+    out[3] = r.next();
+    return out;
+}
+
+/** What a life's state shows once it has run a list of evaluations. */
+struct LifeOutcome
+{
+    std::array<std::uint64_t, 4> stream;
+    Cycles cycles;
+
+    bool operator==(const LifeOutcome &) const = default;
+};
+
+LifeOutcome
+outcomeOf(ShardDevice &dev)
+{
+    return {nextDraws(dev.chip.trialRng()), dev.mc.nowCycles()};
+}
+
+} // namespace
+
+TEST(PufReplay, NextEvaluationDependsOnlyOnTheMultiset)
+{
+    // The shard's PUF memo answers a life's next evaluation by the
+    // multiset of the life's earlier evaluations (DESIGN.md section
+    // 5j). Seeded multisets of size <= kMemoDepth over 2-4 keys, on
+    // every Frac-capable group: every order of a multiset must leave
+    // the same trial stream and clock, and then give the same next
+    // evaluation, stream and clock for every key. Keys cover both row
+    // parities, adjacent rows of one bank and several banks.
+    static const DramGroup kGroups[] = {
+        DramGroup::A, DramGroup::B, DramGroup::C, DramGroup::D,
+        DramGroup::E, DramGroup::F, DramGroup::G, DramGroup::H,
+        DramGroup::I, DramGroup::M};
+    constexpr std::size_t kDepth = service::Shard::kMemoDepth;
+    std::mt19937_64 rng(2003);
+    std::size_t vrt_keys = 0, orders = 0;
+    for (DramGroup group : kGroups) {
+        for (int trial = 0; trial < 3; ++trial) {
+            const std::uint64_t serial = 700 + rng() % 1000;
+            DramParams p = ShardDevice::paramsFor(group);
+            p.colsPerRow = 256;
+            std::vector<Challenge> keys(2 + rng() % 3);
+            keys[0].bank = static_cast<BankAddr>(rng() % p.numBanks);
+            keys[0].row =
+                static_cast<RowAddr>(rng() % (p.rowsPerBank() - 2));
+            keys[1] = {keys[0].bank, keys[0].row + 1};
+            for (std::size_t i = 2; i < keys.size(); ++i) {
+                do {
+                    keys[i].bank =
+                        static_cast<BankAddr>(rng() % p.numBanks);
+                    keys[i].row = static_cast<RowAddr>(
+                        (rng() % (p.rowsPerBank() / 2 - 1)) * 2 + i % 2);
+                } while (std::find(keys.begin(), keys.begin() + i,
+                                   keys[i]) != keys.begin() + i);
+            }
+            {
+                const DramChip probe(group, serial, p);
+                for (const Challenge &k : keys) {
+                    bool vrt = false;
+                    for (ColAddr c = 0; c < p.colsPerRow; ++c)
+                        vrt |= probe.variation().cellIsVrt(k.bank,
+                                                           k.row, c);
+                    vrt_keys += vrt;
+                }
+            }
+            for (int m = 0; m < 4; ++m) {
+                std::vector<std::size_t> order(1 + rng() % kDepth);
+                for (std::size_t &i : order)
+                    i = rng() % keys.size();
+                std::sort(order.begin(), order.end());
+                SCOPED_TRACE(::testing::Message()
+                             << "group " << groupName(group)
+                             << " serial " << serial << " multiset "
+                             << m << " of " << order.size());
+                std::optional<LifeOutcome> ref_life;
+                std::vector<std::pair<BitVector, LifeOutcome>> ref_next;
+                do {
+                    ++orders;
+                    for (std::size_t k = 0; k < keys.size(); ++k) {
+                        ShardDevice dev(group, serial, p);
+                        for (std::size_t i : order)
+                            (void)dev.puf->evaluate(keys[i]);
+                        const LifeOutcome life = outcomeOf(dev);
+                        if (!ref_life)
+                            ref_life = life;
+                        ASSERT_EQ(life, *ref_life);
+                        BitVector bits = dev.puf->evaluate(keys[k]);
+                        std::pair next{std::move(bits), outcomeOf(dev)};
+                        if (ref_next.size() == k)
+                            ref_next.push_back(next);
+                        ASSERT_EQ(next.first, ref_next[k].first)
+                            << "next evaluation of key " << k;
+                        ASSERT_EQ(next.second, ref_next[k].second)
+                            << "after key " << k;
+                    }
+                } while (std::next_permutation(order.begin(),
+                                               order.end()));
+            }
+        }
+    }
+    // The multisets must exercise the leakage coins and reorderings.
+    EXPECT_GT(vrt_keys, 0u);
+    EXPECT_GT(orders, 200u);
 }

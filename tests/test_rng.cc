@@ -138,6 +138,38 @@ TEST(Rng, BelowBounds)
     EXPECT_EQ(seen.size(), 10u); // all values reachable
 }
 
+TEST(Rng, FingerprintTracksTheStream)
+{
+    // Equal states fingerprint equal; the xoshiro words and the
+    // Box-Muller spare both count.
+    Rng a(42), b(42);
+    EXPECT_EQ(a.fingerprint(), b.fingerprint());
+    (void)a.next();
+    EXPECT_NE(a.fingerprint(), b.fingerprint());
+    (void)b.next();
+    EXPECT_EQ(a.fingerprint(), b.fingerprint());
+
+    // A gaussian draws two uniforms and holds the pair's spare; two
+    // uniforms reach the same words without one.
+    (void)a.gaussian();
+    (void)b.uniform();
+    (void)b.uniform();
+    const std::uint64_t held = a.fingerprint();
+    EXPECT_NE(held, b.fingerprint());
+    (void)a.gaussian(); // consumes the spare: no draw
+    EXPECT_EQ(a.fingerprint(), b.fingerprint());
+
+    // A skipped pair holds its spare lazily. Consuming it leaves the
+    // same state as drawing the pair and its spare.
+    Rng c(7), d(7);
+    c.skipGaussians(1);
+    (void)d.gaussian();
+    EXPECT_NE(c.fingerprint(), Rng(7).fingerprint());
+    c.skipGaussians(1);
+    (void)d.gaussian();
+    EXPECT_EQ(c.fingerprint(), d.fingerprint());
+}
+
 TEST(RngFactory, StreamsIndependentOfQueryOrder)
 {
     RngFactory f(99);
