@@ -86,11 +86,17 @@ FracPuf::evaluate(const Challenge &challenge)
     // Initialize the segment to all ones, then drive the cells toward
     // V_dd/2 and read out.
     fillOnes(challenge);
+    // Only the readout observes the Frac voltages, so the bank may
+    // carry them as intervals and compute noise where it decides a
+    // bit (sim::Bank::setDeferFrac).
+    sim::Bank &bank = mc_.chip().bank(challenge.bank);
+    bank.setDeferFrac(true);
     core::frac(mc_, challenge.bank, challenge.row, numFracs_);
     BitVector response =
         mc_.readRowVoltage(challenge.bank, challenge.row);
+    bank.setDeferFrac(false);
     if (discardAfterEvaluate_)
-        mc_.chip().bank(challenge.bank).discardRow(challenge.row);
+        bank.discardRow(challenge.row);
     return response;
 }
 

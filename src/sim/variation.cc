@@ -137,6 +137,21 @@ VariationMap::startupBit(BankAddr bank, RowAddr row, ColAddr col) const
 }
 
 void
+VariationMap::materializeSaOffsets(BankAddr bank, std::size_t cols,
+                                   double *out) const
+{
+    // colStream()'s chain with the column appended last; a fresh
+    // stream's gaussian() is the cosine half gaussianNoSpare() returns.
+    const std::uint64_t prefix =
+        mixSeed(mixSeed(rootSeed_, kSaOffset), bank);
+    for (std::size_t c = 0; c < cols; ++c) {
+        Rng r(mixSeedWithTag(prefix, mixTag(c)));
+        out[c] = profile_.saOffsetMean +
+                 profile_.saOffsetSigma * r.gaussianNoSpare();
+    }
+}
+
+void
 VariationMap::materializeRow(BankAddr bank, RowAddr row,
                              std::size_t cols, std::uint8_t *startup,
                              double *alpha, double *tau,

@@ -95,6 +95,13 @@ class VariationMap
                         double *tau, double *coupling,
                         double *frac_off, std::uint8_t *vrt) const;
 
+    /**
+     * saOffset(bank, c) for every column c < @p cols in one pass,
+     * with the bank's seed prefix hoisted out of the column loop.
+     */
+    void materializeSaOffsets(BankAddr bank, std::size_t cols,
+                              double *out) const;
+
     /** The module serial this map was derived from. */
     std::uint64_t serial() const { return serial_; }
 

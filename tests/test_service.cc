@@ -140,6 +140,11 @@ class FrontEnd : public ::testing::TestWithParam<Front>
         rc.port = 0;
         rc.backends.push_back({"127.0.0.1", daemon->server.port(), 0});
         rc.maxConnections = cap;
+        // A sanitizer build answers a queued burst seconds late (a
+        // tsan drain of GracefulDrain's burst took 2.5-4.6 s); the
+        // default 5 s upstream deadline would eject the backend and
+        // answer ERROR. Sized like the tests' 60 s receive deadlines.
+        rc.upstreamTimeoutMs = 60000;
         router = std::make_unique<fleet::Router>(rc);
         std::string err;
         ASSERT_TRUE(router->start(&err)) << err;

@@ -4,6 +4,8 @@
  */
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -144,4 +146,26 @@ TEST(VariationMap, TauMedianRoughlyMatchesProfile)
     const double median_h = taus[taus.size() / 2] / 3600.0;
     EXPECT_NEAR(median_h, profileB().tauMedianHours,
                 0.2 * profileB().tauMedianHours);
+}
+
+TEST(VariationMap, SaOffsetPassMatchesPerColumnOffsets)
+{
+    // The bank-wide pass is saOffset(bank, c) for every column, bit
+    // for bit, on every group (Table I and the DDR4 extensions).
+    std::vector<DramGroup> groups(allGroups().begin(), allGroups().end());
+    groups.insert(groups.end(), ddr4Groups().begin(), ddr4Groups().end());
+    constexpr std::size_t kCols = 1025;
+    for (const DramGroup g : groups) {
+        const VariationMap map(vendorProfile(g), 1234);
+        for (const BankAddr bank : {BankAddr{0}, BankAddr{5}}) {
+            std::vector<double> pass(kCols);
+            map.materializeSaOffsets(bank, kCols, pass.data());
+            for (ColAddr c = 0; c < kCols; ++c) {
+                const double one = map.saOffset(bank, c);
+                ASSERT_EQ(std::memcmp(&pass[c], &one, sizeof one), 0)
+                    << "group " << groupName(g) << " bank " << bank
+                    << " col " << c;
+            }
+        }
+    }
 }
