@@ -6,6 +6,7 @@
 # recorded as 0 and timing falls back to date +%s.%N.
 #
 # Usage: scripts/run_benches.sh [options] [build_dir] [output.json]
+# (default output: <build_dir>/bench.json)
 #
 # Options:
 #   --filter <regex>  only run benches whose name matches the (grep -E)
@@ -33,24 +34,15 @@
 # timing loops, not fixed-work drivers. bench_kernels is instead
 # driven explicitly for the "bench_simd" record: the resolved SIMD
 # dispatch tier plus per-kernel ns/elem at every tier this machine
-# can force (FRACDRAM_ISA=scalar/avx2), so a BENCH file shows
-# what the vector paths actually buy on the machine that produced it.
+# can force (FRACDRAM_ISA=scalar/avx2), so a record shows what the
+# vector paths actually buy on the machine that produced it.
 #
-# The serving pair (fracdram_serve + fracdram_loadgen) is recorded as
-# the "bench_service" entry: the daemon is started on an ephemeral
-# port with its metrics endpoint up, a traced loadgen burst is timed,
-# and the loadgen summary (req/s, p50/p95/p99 latency, plus the
-# server-side histograms) is embedded in the record's "loadgen"
-# field. The record also carries the machine's core count, the
-# daemon's reactor count and the derived req/s-per-core so BENCH
-# files from different machines stay comparable. The daemon's final
-# /metrics scrape is archived next to the output JSON as
-# <output>.metrics.prom. FRACDRAM_BENCH_REACTORS overrides the
-# daemon's reactor count (default: auto).
+# Serving throughput is measured by perfbench (BENCHMARK.json); this
+# script keeps only the router A/B below.
 #
-# Any bench that exits non-zero (or a daemon that fails to shut down
-# cleanly) makes this script exit non-zero after writing the JSON, so
-# CI cannot mistake a partial BENCH file for a healthy run.
+# Any bench that exits non-zero makes this script exit non-zero after
+# writing the JSON, so CI cannot mistake a partial record for a
+# healthy run.
 
 set -euo pipefail
 
@@ -76,7 +68,7 @@ while [[ $# -gt 0 ]]; do
             shift 2
             ;;
         --help|-h)
-            sed -n '2,25p' "$0" | sed 's/^# \{0,1\}//'
+            sed -n '2,26p' "$0" | sed 's/^# \{0,1\}//'
             exit 0
             ;;
         --*)
@@ -91,7 +83,7 @@ while [[ $# -gt 0 ]]; do
 done
 
 build_dir="${positional[0]:-build}"
-out="${out_flag:-${positional[1]:-BENCH_PR1.json}}"
+out="${out_flag:-${positional[1]:-${build_dir}/bench.json}}"
 bench_dir="${build_dir}/bench"
 
 if [[ ! -d "${bench_dir}" ]]; then
@@ -159,94 +151,9 @@ for bin in "${bench_dir}"/bench_*; do
     records+=("  {\"bench\": \"${name}\", \"seconds\": ${seconds}, \"peak_rss_kib\": ${rss_kib}, \"threads\": ${threads}, \"exit_code\": ${rc}}")
 done
 
-# The serving pair: daemon on an ephemeral port + a timed loadgen
-# burst, recorded as one first-class bench entry.
 serve_bin="${build_dir}/tools/fracdram_serve"
 loadgen_bin="${build_dir}/tools/fracdram_loadgen"
 router_bin="${build_dir}/tools/fracdram_router"
-if [[ -x "${serve_bin}" && -x "${loadgen_bin}" ]] &&
-    { [[ -z "${filter}" ]] || grep -qE "${filter}" <<< "bench_service"; }; then
-    bench_reactors="${FRACDRAM_BENCH_REACTORS:-0}"
-    echo "timing bench_service (serve + loadgen, reactors=${bench_reactors})" >&2
-    port_file="$(mktemp)" mport_file="$(mktemp)" loadgen_json="$(mktemp)"
-    serve_log="$(mktemp)"
-    rm -f "${port_file}" "${mport_file}"
-    "${serve_bin}" --port 0 --shards 4 --port-file "${port_file}" \
-        --reactors "${bench_reactors}" \
-        --metrics-port 0 --metrics-port-file "${mport_file}" \
-        > "${serve_log}" 2>&1 &
-    serve_pid=$!
-    for _ in $(seq 1 100); do
-        [[ -s "${port_file}" ]] && break
-        sleep 0.1
-    done
-    if [[ ! -s "${port_file}" ]]; then
-        echo "error: fracdram_serve never published its port" >&2
-        kill "${serve_pid}" 2> /dev/null || true
-        failures=$((failures + 1))
-    else
-        port="$(cat "${port_file}")"
-        rc=0
-        if [[ "${have_python}" -eq 1 ]]; then
-            read -r seconds rss_kib rc < <(measure "${loadgen_bin}" \
-                --port "${port}" --conns 4 --window 16 --duration 4 \
-                --bytes 32 --warmup-ms 500 --trace \
-                --json-out "${loadgen_json}")
-        else
-            start=$(date +%s.%N)
-            "${loadgen_bin}" --port "${port}" --conns 4 --window 16 \
-                --duration 4 --bytes 32 --warmup-ms 500 --trace \
-                --json-out "${loadgen_json}" > /dev/null || rc=$?
-            end=$(date +%s.%N)
-            seconds=$(awk -v a="${start}" -v b="${end}" \
-                'BEGIN { printf "%.3f", b - a }')
-            rss_kib=0
-        fi
-        # Archive the post-burst /metrics scrape alongside the JSON:
-        # the full Prometheus state of the daemon that produced these
-        # numbers (no curl in the container; plain /dev/tcp works).
-        if [[ -s "${mport_file}" ]]; then
-            mport="$(cat "${mport_file}")"
-            if exec 9<> "/dev/tcp/127.0.0.1/${mport}" 2> /dev/null; then
-                printf 'GET /metrics HTTP/1.0\r\n\r\n' >&9
-                sed -e '1,/^\r\{0,1\}$/d' <&9 > "${out%.json}.metrics.prom" || true
-                exec 9>&- 9<&-
-                echo "archived $(wc -l < "${out%.json}.metrics.prom") metric lines to ${out%.json}.metrics.prom" >&2
-            else
-                echo "warning: could not scrape /metrics on port ${mport}" >&2
-            fi
-        fi
-        # Archive the full loadgen summary (including the per-second
-        # req/s + p99 timeline) next to the output JSON - the shape
-        # of the burst, not just its aggregates.
-        if [[ -s "${loadgen_json}" ]]; then
-            cp "${loadgen_json}" "${out%.json}.loadgen.json"
-            echo "archived loadgen timeline to ${out%.json}.loadgen.json" >&2
-        fi
-        kill -TERM "${serve_pid}" 2> /dev/null || true
-        serve_rc=0
-        wait "${serve_pid}" || serve_rc=$?
-        if [[ "${rc}" -ne 0 || "${serve_rc}" -ne 0 ]]; then
-            echo "error: bench_service failed (loadgen=${rc}, serve=${serve_rc})" >&2
-            failures=$((failures + 1))
-        fi
-        loadgen_summary="null"
-        [[ -s "${loadgen_json}" ]] && loadgen_summary="$(cat "${loadgen_json}")"
-        # Machine/shape context: cores, the daemon's resolved reactor
-        # count (parsed from its "listening ... (N reactors" line) and
-        # req/s normalised per core, so BENCH files are comparable
-        # across machines.
-        cores="$(nproc 2> /dev/null || echo 1)"
-        reactors="$(sed -n 's/.*(\([0-9]\{1,\}\) reactors.*/\1/p' "${serve_log}" | head -1)"
-        [[ -n "${reactors}" ]] || reactors=0
-        rps="$(sed -n 's/.*"requests_per_sec": \([0-9.]\{1,\}\).*/\1/p' "${loadgen_json}" 2> /dev/null | head -1)"
-        [[ -n "${rps}" ]] || rps=0
-        rps_per_core="$(awk -v r="${rps}" -v c="${cores}" \
-            'BEGIN { printf "%.1f", (c > 0 ? r / c : 0) }')"
-        records+=("  {\"bench\": \"bench_service\", \"seconds\": ${seconds}, \"peak_rss_kib\": ${rss_kib}, \"threads\": ${threads}, \"exit_code\": ${rc}, \"nproc\": ${cores}, \"reactors\": ${reactors}, \"requests_per_sec_per_core\": ${rps_per_core}, \"loadgen\": ${loadgen_summary}}")
-    fi
-    rm -f "${port_file}" "${mport_file}" "${loadgen_json}" "${serve_log}"
-fi
 
 # SIMD dispatch record: what the dispatcher resolves on this machine
 # (plus the raw cpuid feature bits) and per-kernel ns/elem at every

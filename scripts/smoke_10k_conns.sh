@@ -6,7 +6,8 @@
 #   2. storm it: fracdram_loadgen --storm opens 10 000 concurrent
 #      connections, sends ONE request on each and requires an answer
 #      on every single one (the reactor core must hold 10k live fds
-#      while answering),
+#      while answering) while the storm's own peak RSS stays under a
+#      bound (a per-connection client buffer would blow it),
 #   3. once the ready-file confirms all answers arrived, SIGTERM the
 #      daemon while all 10k connections are still open and require a
 #      clean (exit 0) drain: every storm connection must see EOF, not
@@ -40,6 +41,12 @@ if [[ "${limit}" != "unlimited" && "${limit}" -lt "${need}" ]]; then
     exit 0
 fi
 ulimit -n "${need}" 2> /dev/null || true
+
+# Bound on the storm process's peak RSS (VmHWM). At 10 000
+# connections a plain build peaks at 3.6-4.1 MiB and an ASan build at
+# 11 MiB; 16 MiB leaves room for both and trips on any read buffer of
+# 2 KiB or more held per connection.
+max_storm_hwm_kib=16384
 
 workdir="$(mktemp -d)"
 serve_pid=""
@@ -119,7 +126,7 @@ if [[ -n "${router_bin}" ]]; then
 fi
 
 "${loadgen_bin}" --port "${front_port}" --storm "${n_conns}" \
-    --ready-file "${ready_file}" --hold-secs 60 \
+    --ready-file "${ready_file}" \
     > "${storm_log}" 2>&1 &
 storm_pid=$!
 
@@ -140,6 +147,16 @@ grep -q "answered ${n_conns}" "${ready_file}" || {
     exit 1
 }
 echo "storm ready: $(cat "${ready_file}")" >&2
+
+# Peak RSS of the storm with every connection open and answered. A
+# read buffer kept per client connection would be multiplied by
+# n_conns here (64 KiB x 10 000 = 640 MiB).
+storm_hwm_kib="$(awk '/^VmHWM:/ {print $2}' "/proc/${storm_pid}/status")"
+echo "storm VmHWM: ${storm_hwm_kib:-?} kB (bound ${max_storm_hwm_kib} kB)" >&2
+if [[ -z "${storm_hwm_kib}" || "${storm_hwm_kib}" -gt "${max_storm_hwm_kib}" ]]; then
+    echo "FAIL: storm peak RSS ${storm_hwm_kib:-unreadable} kB is over ${max_storm_hwm_kib} kB" >&2
+    exit 1
+fi
 
 # Drain with all n_conns connections still open. The storm holds its
 # sockets and requires EOF (not ECONNRESET) on every one.

@@ -26,8 +26,7 @@ Client::~Client()
 
 Client::Client(Client &&other) noexcept
     : fd_(other.fd_), seq_(other.seq_),
-      reader_(std::move(other.reader_)),
-      rdbuf_(std::move(other.rdbuf_))
+      reader_(std::move(other.reader_))
 {
     other.fd_ = -1;
 }
@@ -40,7 +39,6 @@ Client::operator=(Client &&other) noexcept
         fd_ = other.fd_;
         seq_ = other.seq_;
         reader_ = std::move(other.reader_);
-        rdbuf_ = std::move(other.rdbuf_);
         other.fd_ = -1;
     }
     return *this;
@@ -55,7 +53,6 @@ Client::connect(const std::string &host, std::uint16_t port,
     if (fd_ < 0)
         return false;
     reader_ = FrameReader{};
-    rdbuf_.resize(64 * 1024);
     return true;
 }
 
@@ -75,10 +72,18 @@ Client::nextSeq()
 bool
 Client::send(const Request &req, std::string *err)
 {
+    return send(std::vector<Request>{req}, err);
+}
+
+bool
+Client::send(const std::vector<Request> &reqs, std::string *err)
+{
     if (fd_ < 0)
         return fail(err, "not connected");
-    const auto framed = frame(encodeRequest(req));
-    return writeAll(fd_, framed.data(), framed.size(), err);
+    std::vector<std::uint8_t> wire;
+    for (const Request &req : reqs)
+        appendFrame(wire, encodeRequest(req));
+    return writeAll(fd_, wire.data(), wire.size(), err);
 }
 
 bool
@@ -86,7 +91,10 @@ Client::recv(Response &resp, std::string *err, int timeout_ms)
 {
     if (fd_ < 0)
         return fail(err, "not connected");
-    std::vector<std::uint8_t> payload;
+    // The read buffers belong to the call and its thread, not the
+    // Client, so an idle connection costs only its FrameReader.
+    std::uint8_t rdbuf[64 * 1024];
+    thread_local std::vector<std::uint8_t> payload;
     while (true) {
         if (reader_.next(payload)) {
             std::string derr;
@@ -102,12 +110,12 @@ Client::recv(Response &resp, std::string *err, int timeout_ms)
             return fail(err, "poll failed");
         if (r == 0)
             return fail(err, "timed out waiting for a response");
-        const long n = readSome(fd_, rdbuf_.data(), rdbuf_.size());
+        const long n = readSome(fd_, rdbuf, sizeof(rdbuf));
         if (n == 0)
             return fail(err, "server closed the connection");
         if (n < 0)
             return fail(err, "read failed");
-        reader_.feed(rdbuf_.data(), static_cast<std::size_t>(n));
+        reader_.feed(rdbuf, static_cast<std::size_t>(n));
     }
 }
 

@@ -43,13 +43,19 @@ class Client
 
     /** @name Pipelining layer */
     /// @{
-    /** Frame and send one request (assigns seq when @p req.seq==0
-     *  and autoSeq is on; see setAutoSeq). */
+    /** Frame and send @p req as given; the caller picks its seq. */
     bool send(const Request &req, std::string *err);
+
+    /** Frame @p reqs back to back and send them with one write. */
+    bool send(const std::vector<Request> &reqs, std::string *err);
+
+    /** True when a whole response is already buffered, so recv()
+     *  returns it without touching the socket. */
+    bool ready() const { return reader_.hasFrame(); }
 
     /**
      * Block until the next response frame arrives.
-     * @param timeout_ms per-wait ceiling (<=0 waits forever)
+     * @param timeout_ms per-wait ceiling (<0 waits forever)
      * @return false on timeout/EOF/protocol error
      */
     bool recv(Response &resp, std::string *err, int timeout_ms = -1);
@@ -84,7 +90,6 @@ class Client
     int fd_ = -1;
     std::uint16_t seq_ = 0;
     FrameReader reader_;
-    std::vector<std::uint8_t> rdbuf_;
 };
 
 } // namespace fracdram::service

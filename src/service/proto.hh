@@ -247,6 +247,20 @@ class FrameReader
     /** Bytes currently buffered (tests). */
     std::size_t buffered() const { return buf_.size() - pos_; }
 
+    /** True when a whole frame is buffered, so next() needs no
+     *  further feed(). */
+    bool hasFrame() const
+    {
+        const std::size_t avail = buf_.size() - pos_;
+        if (avail < 4)
+            return false;
+        const std::uint8_t *p = buf_.data() + pos_;
+        const std::size_t n = std::size_t{p[0]} | std::size_t{p[1]} << 8 |
+                              std::size_t{p[2]} << 16 |
+                              std::size_t{p[3]} << 24;
+        return avail >= 4 + n;
+    }
+
   private:
     std::size_t maxFrame_;
     std::vector<std::uint8_t> buf_;

@@ -1141,3 +1141,171 @@ TEST(BankDeferredFrac, IntervalSettleHoldsAtRoundingTies)
     }
     EXPECT_GT(checked, 2000u);
 }
+
+namespace
+{
+
+/**
+ * A bank whose sense amplifier sees nothing but its noise: no SA
+ * offsets, no coupling spread, no trial jitter, unit role weights and
+ * V_dd = 1. A column's margin eq - half is then (cb * 0.5 + v) /
+ * (cb + 1) - 0.5 in the bank's own arithmetic, and the noise sigma is
+ * the profile's (noiseScale() is 1 at 20 C).
+ */
+struct QuietBank
+{
+    explicit QuietBank(double noise_sigma)
+        : profile(quietProfile(noise_sigma)), ctx(smallParams(), profile, 17),
+          bank(ctx, 0)
+    {
+        ctx.env.vdd = 1.0;
+    }
+
+    static VendorProfile quietProfile(double noise_sigma)
+    {
+        VendorProfile p = vendorProfile(DramGroup::B);
+        p.saOffsetMean = 0.0;
+        p.saOffsetSigma = 0.0;
+        p.couplingSigma = 0.0;
+        p.trialJitterSigma = 0.0;
+        p.weightFirstAct = p.weightSecondAct = 1.0;
+        p.weightImplicitAnd = p.weightImplicitOther = 1.0;
+        p.saNoiseSigma = noise_sigma;
+        return p;
+    }
+
+    VendorProfile profile;
+    ModuleContext ctx;
+    Bank bank;
+};
+
+constexpr RowAddr kQuietRow = 3;
+
+/** eq - half of a quiet-bank cell at @p v, as fullActivate computes it. */
+double
+quietMargin(float v)
+{
+    const double cb = smallParams().bitlineCapRatio;
+    double num = cb * 0.5;
+    double den = cb;
+    num += 1.0 * static_cast<double>(v);
+    den += 1.0;
+    return num / den - 0.5;
+}
+
+/**
+ * Activate the quiet row with every cell at @p v and compare it with
+ * the eager decision: the trial jitter's gaussian, then
+ * fillGaussian's noise for every column, then (eq - half) > noise.
+ * The row buffer, the trial stream's fingerprint and sense.flips must
+ * all match.
+ */
+void
+expectEagerSense(double noise_sigma, float v)
+{
+    QuietBank q(noise_sigma);
+    const auto cols = q.ctx.params.colsPerRow;
+    for (ColAddr c = 0; c < cols; ++c)
+        q.bank.setCellVoltage(kQuietRow, c, v);
+    Rng eager = q.ctx.trialRng;
+    (void)eager.gaussian(); // the trial jitter
+    std::vector<double> noise(cols);
+    eager.fillGaussian(noise, 0.0, noise_sigma);
+    const double margin = quietMargin(v);
+    const bool anti = q.bank.rowIsAnti(kQuietRow);
+    BitVector want(cols);
+    std::uint64_t want_flips = 0;
+    for (ColAddr c = 0; c < cols; ++c) {
+        const bool dec = margin > 0.0f + noise[c];
+        want.set(c, dec != anti);
+        want_flips += dec != (margin > 0.0);
+    }
+
+    const auto flips_before = simCounters()["sim.kernel.sense.flips"];
+    Cycles t = 100;
+    q.bank.commandAct(t, kQuietRow);
+    t += 6;
+    EXPECT_EQ(q.bank.commandRead(t).toString(), want.toString());
+    EXPECT_EQ(q.ctx.trialRng.fingerprint(), eager.fingerprint());
+    EXPECT_EQ(simCounters()["sim.kernel.sense.flips"] - flips_before,
+              want_flips);
+}
+
+} // namespace
+
+TEST(BankBoundedSense, MarginAtTheNoiseBoundMatchesEagerSense)
+{
+    // fullActivate decides a column without its noise when the margin
+    // eq - half - sa clears sigma * Rng::gaussianBound()[e], e being
+    // the bound index of the column's draw (DESIGN.md 5c rule 5).
+    // Place one column's margin just outside and just inside that
+    // bound, and just inside its actual noise, and compare each with
+    // the eager decision.
+    const bool was_enabled = telemetry::enabled();
+    telemetry::setEnabled(true);
+    const float v = 0.5f + 0.001f;
+    const double margin = quietMargin(v);
+    ASSERT_GT(margin, 0.0);
+
+    // The draws do not depend on sigma: read the unit draws and their
+    // bound indices off the stream a quiet bank starts with.
+    std::vector<double> unit;
+    std::vector<std::uint8_t> index;
+    {
+        QuietBank q(1.0);
+        const auto cols = q.ctx.params.colsPerRow;
+        for (ColAddr c = 0; c < cols; ++c)
+            q.bank.setCellVoltage(kQuietRow, c, v);
+        Rng r = q.ctx.trialRng;
+        (void)r.gaussian(); // the trial jitter
+        Rng probe = r;
+        index.resize(cols);
+        probe.skipGaussians(std::span<std::uint8_t>(index));
+        unit.resize(cols);
+        r.fillGaussian(unit, 0.0, 1.0);
+    }
+    // A column whose draw lies in the upper half of its bound: there,
+    // a margin just short of the noise is also past half the bound.
+    const double *bound = Rng::gaussianBound();
+    std::size_t col = 0;
+    while (col < unit.size() && unit[col] <= 0.75 * bound[index[col]])
+        ++col;
+    ASSERT_LT(col, unit.size());
+    const double b = bound[index[col]];
+    const double g = unit[col];
+
+    // sigma * b just below the margin: decided up without the noise.
+    double outside = margin / b;
+    while (outside * b >= margin)
+        outside = std::nextafter(outside, 0.0);
+    // sigma * b just above the margin: the noise must be computed.
+    double inside = margin / b;
+    while (inside * b <= margin)
+        inside = std::nextafter(inside, 1.0);
+    // sigma * g just above the margin: the noise flips the bit.
+    double flipped = margin / g;
+    while (flipped * g <= margin)
+        flipped = std::nextafter(flipped, 1.0);
+
+    {
+        SCOPED_TRACE("just outside the bound");
+        expectEagerSense(outside, v);
+    }
+    {
+        SCOPED_TRACE("just inside the bound");
+        expectEagerSense(inside, v);
+    }
+    {
+        SCOPED_TRACE("just inside the column's noise");
+        expectEagerSense(flipped, v);
+    }
+    {
+        // Exactly at the bound: a noiseless amplifier (bound 0) with a
+        // cell at exactly V_dd / 2 (margin 0). Only the strict
+        // comparison decides, and it reads 0.
+        SCOPED_TRACE("at the bound, noiseless");
+        ASSERT_EQ(quietMargin(0.5f), 0.0);
+        expectEagerSense(0.0, 0.5f);
+    }
+    telemetry::setEnabled(was_enabled);
+}

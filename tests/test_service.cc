@@ -88,26 +88,24 @@ struct TestServer
 };
 
 /**
- * Deliver @p n raw-entropy requests in ONE write syscall so the
- * server's next read parses the whole burst as a single batch -
- * the saturation and drain tests depend on that determinism.
+ * Deliver @p n raw-entropy requests in ONE write syscall (a batched
+ * Client::send) so the server's next read parses the whole burst as
+ * a single batch - the saturation and drain tests depend on that
+ * determinism.
  */
 void
 sendBurst(Client &c, int n, std::uint32_t n_bytes)
 {
-    std::vector<std::uint8_t> wire;
+    std::vector<Request> burst(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
-        Request req;
+        Request &req = burst[static_cast<std::size_t>(i)];
         req.type = MsgType::GetEntropy;
         req.flags = kFlagRawEntropy;
         req.seq = static_cast<std::uint16_t>(i + 1);
         req.nBytes = n_bytes;
-        const auto framed = frame(encodeRequest(req));
-        wire.insert(wire.end(), framed.begin(), framed.end());
     }
     std::string err;
-    ASSERT_TRUE(writeAll(c.fd(), wire.data(), wire.size(), &err))
-        << err;
+    ASSERT_TRUE(c.send(burst, &err)) << err;
 }
 
 /** The process a test's client talks to. */

@@ -230,13 +230,19 @@ TEST(ServiceProto, FrameReaderIncompleteFrameYieldsNothing)
         encodeRequest(makeRequest(MsgType::GetEntropy, 1));
     const auto framed = frame(payload);
     FrameReader reader;
-    reader.feed(framed.data(), framed.size() - 1);
+    EXPECT_FALSE(reader.hasFrame());
+    reader.feed(framed.data(), 2); // half a length prefix
+    EXPECT_FALSE(reader.hasFrame());
+    reader.feed(framed.data() + 2, framed.size() - 3);
+    EXPECT_FALSE(reader.hasFrame());
     std::vector<std::uint8_t> out;
     EXPECT_FALSE(reader.next(out));
     // The last byte completes it.
     reader.feed(framed.data() + framed.size() - 1, 1);
+    EXPECT_TRUE(reader.hasFrame());
     ASSERT_TRUE(reader.next(out));
     EXPECT_EQ(out, payload);
+    EXPECT_FALSE(reader.hasFrame());
 }
 
 TEST(ServiceProto, PackUnpackBitsRoundTrip)

@@ -2,32 +2,20 @@
  * @file
  * fracdram_loadgen - closed-loop load generator for fracdram_serve.
  *
- * Opens --conns connections spread over --threads generator threads
- * (each thread poll-multiplexes its slice over non-blocking sockets
- * and replaces a batch of completed requests with one write, so the
- * client side stays ahead of a multi-reactor server without a thread
- * per connection). Keeps a window of --window pipelined GET_ENTROPY
- * requests outstanding on each connection and runs for --duration
- * seconds. Prints throughput and client-observed p50/p95/p99 latency
- * plus a merged power-of-two latency histogram (and writes them as
- * one JSON object with --json-out, which scripts/run_benches.sh
- * embeds into the bench record). The JSON also carries a per-second
- * "timeline" array (req/s + bucket-bound p99 per elapsed second) so
- * ramp-up, steady state and any mid-run stall are visible after the
- * fact, not just the end-of-run aggregates.
+ * Opens --conns connections, one thread each, and keeps a window of
+ * --window pipelined GET_ENTROPY requests outstanding on every one
+ * for --duration seconds. Prints throughput and client-observed
+ * p50/p95/p99 latency (and writes them as one JSON object with
+ * --json-out). All wire I/O goes through service::Client.
  *
  * Options:
  *   --host H          server address (default 127.0.0.1)
  *   --port N          server port (required)
  *   --conns N         connections (default 4)
- *   --threads N       generator threads (default: half the cores,
- *                     clamped to [1, conns])
  *   --window N        outstanding requests per connection (default 16)
  *   --duration S      measured run length in seconds (default 2)
  *   --warmup-ms N     samples before this are discarded (default 200)
  *   --bytes N         entropy bytes per request (default 32)
- *   --raw             request the raw QUAC stream (slow; exercises
- *                     backpressure rather than throughput)
  *   --trace           tag every request with a unique request id
  *                     (kFlagRequestId) so the daemon records
  *                     per-stage timelines for it; dump them with
@@ -37,12 +25,11 @@
  * Fleet mode (fracdram_router / multi-device daemons, DESIGN.md §5j):
  *   --scenario vendor-mix  address every request to an explicit
  *                     device (kFlagDeviceId) drawn from vendor groups
- *                     A-L with the paper's capability skew: J/K/L
- *                     cannot do Frac/QUAC, so those requests must be
- *                     steered (router) or answered with a typed
- *                     CAPABILITY status (daemon) - never time out
- *   --fleet-chips N   chips per vendor group the mix draws from
- *                     (default 64)
+ *                     A-L, 64 chips each, with the paper's capability
+ *                     skew: J/K/L cannot do Frac/QUAC, so those
+ *                     requests must be steered (router) or answered
+ *                     with a typed CAPABILITY status (daemon) - never
+ *                     time out
  *   --puf-enroll K    sequential mode: enroll K PUF keys on devices
  *                     spread over the capable groups, exit 0 iff all
  *                     enrollments return OK
@@ -57,20 +44,17 @@
  *   --storm N         open N concurrent connections, send ONE request
  *                     on each, await every response, then hold the
  *                     connections open until the server closes them
- *                     (a drain) or --hold-secs passes. Exits 0 only
- *                     when every connection got its response.
+ *                     (a drain) or 60 s pass. Exits 0 only when every
+ *                     connection got its response.
  *   --ready-file F    written once all storm responses arrived, so a
  *                     driving script knows when to SIGTERM the server
- *   --hold-secs S     storm hold ceiling (default 30)
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
-#include <poll.h>
 #include <string>
 #include <thread>
 #include <vector>
@@ -78,7 +62,6 @@
 #include "common/logging.hh"
 #include "service/client.hh"
 #include "service/fleet.hh"
-#include "service/net.hh"
 #include "service/proto.hh"
 #include "sim/vendor.hh"
 
@@ -88,121 +71,42 @@ using Clock = std::chrono::steady_clock;
 namespace
 {
 
+/** Chips per vendor group that the vendor-mix scenario draws from. */
+constexpr std::uint32_t kFleetChips = 64;
+
+/** How long a storm holds its connections waiting for a drain. */
+constexpr std::chrono::seconds kStormHold{60};
+
 struct Options
 {
     std::string host = "127.0.0.1";
     std::uint16_t port = 0;
     int conns = 4;
-    int threads = 0; //!< 0 = auto
     int window = 16;
     double duration = 2.0;
     int warmupMs = 200;
     std::uint32_t bytes = 32;
-    bool raw = false;
     bool trace = false;
     bool checkHealth = false;
     std::string jsonOut;
     bool quiet = false;
     int storm = 0;
     std::string readyFile;
-    int holdSecs = 30;
-    std::string scenario;         //!< "" (default) or "vendor-mix"
-    std::uint32_t fleetChips = 64; //!< chips per group in the mix
+    std::string scenario; //!< "" (default) or "vendor-mix"
     int pufEnroll = 0;
     int pufVerify = 0;
 };
 
-/** Power-of-two microsecond latency buckets (last = overflow). */
-constexpr int kHistBuckets = 21;
-
-struct LatencyHist
-{
-    std::uint64_t counts[kHistBuckets] = {};
-
-    void add(double us)
-    {
-        int b = 0;
-        while (b < kHistBuckets - 1 &&
-               static_cast<double>(1u << b) < us)
-            ++b;
-        ++counts[b];
-    }
-
-    void merge(const LatencyHist &o)
-    {
-        for (int i = 0; i < kHistBuckets; ++i)
-            counts[i] += o.counts[i];
-    }
-
-    std::string json() const
-    {
-        std::string bounds = "[", vals = "[";
-        for (int i = 0; i < kHistBuckets; ++i) {
-            if (i > 0) {
-                bounds += ", ";
-                vals += ", ";
-            }
-            bounds += i == kHistBuckets - 1
-                          ? "null"
-                          : std::to_string(1u << i);
-            vals += std::to_string(counts[i]);
-        }
-        return "{\"le_us\": " + bounds + "], \"counts\": " + vals +
-               "]}";
-    }
-
-    /** Bucket-bound quantile (microseconds, upper bound of rank). */
-    double quantileUs(double q) const
-    {
-        std::uint64_t total = 0;
-        for (const std::uint64_t c : counts)
-            total += c;
-        if (total == 0)
-            return 0.0;
-        const auto target = static_cast<std::uint64_t>(
-            q * static_cast<double>(total - 1));
-        std::uint64_t cum = 0;
-        for (int i = 0; i < kHistBuckets; ++i) {
-            cum += counts[i];
-            if (cum > target)
-                return static_cast<double>(
-                    1u << std::min(i, kHistBuckets - 2));
-        }
-        return static_cast<double>(1u << (kHistBuckets - 2));
-    }
-};
-
-/** One second of the run as the client saw it (timeline output). */
-struct SecondBucket
-{
-    std::uint64_t ok = 0;
-    LatencyHist hist;
-};
-
-/** What one generator thread measured across its connections. */
-struct WorkerResult
+/** What one connection measured. */
+struct ConnResult
 {
     std::vector<double> latenciesUs;
-    LatencyHist hist;
-    std::vector<SecondBucket> timeline; //!< indexed by run second
     std::uint64_t ok = 0;
     std::uint64_t busy = 0;
     std::uint64_t rateLimited = 0;
     std::uint64_t capability = 0; //!< typed CAPABILITY refusals
     std::uint64_t errors = 0;
     std::string firstError;
-};
-
-/** One multiplexed connection of a generator thread. */
-struct GenConn
-{
-    int fd = -1;
-    service::FrameReader reader;
-    std::deque<Clock::time_point> inFlight;
-    std::uint16_t seq = 0;
-    std::uint64_t nextId = 0;
-    std::uint64_t rng = 0; //!< vendor-mix device stream (xorshift)
-    bool closed = false;
 };
 
 /** xorshift64: cheap per-connection device id stream. */
@@ -218,228 +122,142 @@ nextRand(std::uint64_t &s)
 /**
  * The vendor-mix device draw: groups A-L uniformly (so one in four
  * requests hits a group whose timing checkers make Frac impossible),
- * chip index within --fleet-chips.
+ * chip index within kFleetChips.
  */
 std::uint32_t
-vendorMixDevice(std::uint64_t &rng, std::uint32_t fleet_chips)
+vendorMixDevice(std::uint64_t &rng)
 {
     const std::uint64_t r = nextRand(rng);
     const auto group = static_cast<sim::DramGroup>(r % 12);
-    const auto chip =
-        static_cast<std::uint32_t>((r >> 8) % fleet_chips);
+    const auto chip = static_cast<std::uint32_t>((r >> 8) % kFleetChips);
     return fleet::makeDeviceId(group, chip);
 }
 
 void
-noteError(WorkerResult &result, const std::string &err)
+noteError(ConnResult &result, const std::string &err)
 {
     ++result.errors;
     if (result.firstError.empty())
         result.firstError = err;
 }
 
+/** Milliseconds left until @p t, rounded up; 0 once it has passed. */
+int
+msUntil(Clock::time_point t)
+{
+    const auto ms =
+        std::chrono::ceil<std::chrono::milliseconds>(t - Clock::now())
+            .count();
+    return static_cast<int>(std::max<decltype(ms)>(ms, 0));
+}
+
 /**
- * One generator thread: @p n_conns non-blocking pipelined
- * connections, poll-multiplexed. Every batch of responses read off a
- * connection is replaced with one writeAll of the same number of
- * requests, built by patching seq/id into a prebuilt frame template.
+ * One connection of the closed loop: keep opt.window requests in
+ * flight until @p deadline, then collect the stragglers. Every batch
+ * of responses that one read brings in is replaced with one write of
+ * as many new requests, so the client stays ahead of a multi-reactor
+ * server. Responses must echo the seqs in send order (the server
+ * answers each connection in order).
  */
 void
-runWorker(const Options &opt, int worker, int n_conns,
-          Clock::time_point run_start, Clock::time_point warmup_end,
-          Clock::time_point deadline, WorkerResult &result)
+runConn(const Options &opt, int index, Clock::time_point warmup_end,
+        Clock::time_point deadline, ConnResult &result)
 {
-    // Prebuilt request frame; seq lives at offset 6, the request id
-    // (traced runs only) at offset 8 (4-byte length prefix + type,
-    // flags, u16 seq). With the vendor-mix scenario the device id
-    // sits right after the header - after the request id when both
-    // flags are on.
+    service::Client client;
+    std::string err;
+    if (!client.connect(opt.host, opt.port, &err)) {
+        noteError(result, err);
+        return;
+    }
     const bool vendor_mix = opt.scenario == "vendor-mix";
     service::Request req;
     req.type = service::MsgType::GetEntropy;
-    req.flags = opt.raw ? service::kFlagRawEntropy : 0;
     if (opt.trace)
         req.flags |= service::kFlagRequestId;
     if (vendor_mix)
         req.flags |= service::kFlagDeviceId;
     req.nBytes = opt.bytes;
-    const std::vector<std::uint8_t> tmpl =
-        service::frame(service::encodeRequest(req));
-    constexpr std::size_t kSeqOff = 6, kIdOff = 8;
-    const std::size_t dev_off = opt.trace ? 16 : 8;
+    // Run-unique request ids: the connection in the top bits, a
+    // counter underneath.
+    req.requestId = static_cast<std::uint64_t>(index + 1) << 40;
+    std::uint64_t rng = req.requestId | 0x9e3779b9u;
 
-    std::vector<GenConn> conns(static_cast<std::size_t>(n_conns));
-    std::string err;
-    for (std::size_t i = 0; i < conns.size(); ++i) {
-        conns[i].fd = service::connectTcp(opt.host, opt.port, &err);
-        if (conns[i].fd < 0) {
-            noteError(result, err);
-            for (auto &c : conns)
-                service::closeFd(c.fd);
-            return;
-        }
-        // Run-unique ids: thread in the top bits, conn below, a
-        // counter underneath.
-        conns[i].nextId =
-            (static_cast<std::uint64_t>(worker + 1) << 40) |
-            (static_cast<std::uint64_t>(i) << 24);
-        conns[i].rng = conns[i].nextId | 0x9e3779b9u;
-    }
-
-    std::vector<std::uint8_t> sendbuf;
-    auto send_batch = [&](GenConn &c, int k) -> bool {
-        sendbuf.clear();
+    struct Sent
+    {
+        std::uint16_t seq;
+        Clock::time_point at;
+    };
+    std::deque<Sent> in_flight;
+    std::vector<service::Request> batch;
+    auto send_batch = [&](int k) {
+        batch.clear();
         for (int i = 0; i < k; ++i) {
-            const std::size_t at = sendbuf.size();
-            sendbuf.insert(sendbuf.end(), tmpl.begin(), tmpl.end());
-            ++c.seq;
-            sendbuf[at + kSeqOff] =
-                static_cast<std::uint8_t>(c.seq & 0xff);
-            sendbuf[at + kSeqOff + 1] =
-                static_cast<std::uint8_t>(c.seq >> 8);
-            if (opt.trace) {
-                const std::uint64_t id = ++c.nextId;
-                for (int b = 0; b < 8; ++b)
-                    sendbuf[at + kIdOff +
-                            static_cast<std::size_t>(b)] =
-                        static_cast<std::uint8_t>(id >> (8 * b));
-            }
-            if (vendor_mix) {
-                const std::uint32_t dev =
-                    vendorMixDevice(c.rng, opt.fleetChips);
-                for (int b = 0; b < 4; ++b)
-                    sendbuf[at + dev_off +
-                            static_cast<std::size_t>(b)] =
-                        static_cast<std::uint8_t>(dev >> (8 * b));
-            }
+            ++req.seq;
+            ++req.requestId;
+            if (vendor_mix)
+                req.device = vendorMixDevice(rng);
+            batch.push_back(req);
         }
-        if (!service::writeAll(c.fd, sendbuf.data(), sendbuf.size(),
-                               &err)) {
+        if (!client.send(batch, &err)) {
             noteError(result, err);
             return false;
         }
         const auto now = Clock::now();
-        for (int i = 0; i < k; ++i)
-            c.inFlight.push_back(now);
+        for (const service::Request &r : batch)
+            in_flight.push_back({r.seq, now});
         return true;
     };
+    if (!send_batch(opt.window))
+        return;
 
-    for (auto &c : conns) {
-        if (!send_batch(c, opt.window)) {
-            for (auto &cc : conns)
-                service::closeFd(cc.fd);
-            return;
-        }
-    }
-
-    std::vector<std::uint8_t> rdbuf(64 * 1024);
-    std::vector<std::uint8_t> payload;
-    std::vector<pollfd> pfds;
     service::Response resp;
     result.latenciesUs.reserve(1 << 16);
-    std::size_t open = conns.size();
-    while (open > 0) {
-        pfds.clear();
-        for (auto &c : conns)
-            if (!c.closed)
-                pfds.push_back({c.fd, POLLIN, 0});
-        const int rc =
-            ::poll(pfds.data(),
-                   static_cast<nfds_t>(pfds.size()), 5000);
-        if (rc <= 0) {
-            noteError(result, rc == 0 ? "recv timeout"
-                                      : std::strerror(errno));
-            break;
-        }
-        std::size_t pi = 0;
-        for (auto &c : conns) {
-            if (c.closed)
-                continue;
-            const short revents = pfds[pi++].revents;
-            if (revents == 0)
-                continue;
-            const long n = service::readSome(c.fd, rdbuf.data(),
-                                             rdbuf.size());
-            if (n <= 0) {
-                if (!c.inFlight.empty())
-                    noteError(result, "connection closed with "
-                                      "requests in flight");
-                c.closed = true;
-                service::closeFd(c.fd);
-                --open;
-                continue;
+    while (!in_flight.empty()) {
+        int completed = 0;
+        Clock::time_point now;
+        do {
+            if (!client.recv(resp, &err, 5000)) {
+                noteError(result, err);
+                return;
             }
-            c.reader.feed(rdbuf.data(),
-                          static_cast<std::size_t>(n));
-            int completed = 0;
-            const auto now = Clock::now();
-            while (c.reader.next(payload)) {
-                if (!service::decodeResponse(payload.data(),
-                                             payload.size(), resp,
-                                             &err)) {
-                    noteError(result, err);
-                    continue;
-                }
-                if (c.inFlight.empty())
-                    continue; // never happens on a sane server
-                const auto sent = c.inFlight.front();
-                c.inFlight.pop_front();
-                ++completed;
-                switch (resp.status) {
-                case service::Status::Ok: {
-                    ++result.ok;
-                    const double us =
+            now = Clock::now();
+            const Sent sent = in_flight.front();
+            in_flight.pop_front();
+            ++completed;
+            if (resp.seq != sent.seq) {
+                noteError(result,
+                          strprintf("seq mismatch: sent %u, got %u",
+                                    sent.seq, resp.seq));
+                return;
+            }
+            switch (resp.status) {
+            case service::Status::Ok:
+                ++result.ok;
+                if (sent.at >= warmup_end)
+                    result.latenciesUs.push_back(
                         std::chrono::duration<double, std::micro>(
-                            now - sent)
-                            .count();
-                    // Timeline buckets cover the whole run (warmup
-                    // included): they narrate the run, the aggregate
-                    // stats below judge it.
-                    const auto sec = static_cast<std::size_t>(
-                        std::chrono::duration<double>(now - run_start)
+                            now - sent.at)
                             .count());
-                    if (sec >= result.timeline.size())
-                        result.timeline.resize(sec + 1);
-                    ++result.timeline[sec].ok;
-                    result.timeline[sec].hist.add(us);
-                    if (sent >= warmup_end) {
-                        result.latenciesUs.push_back(us);
-                        result.hist.add(us);
-                    }
-                    break;
-                }
-                case service::Status::Busy:
-                    ++result.busy;
-                    break;
-                case service::Status::RateLimited:
-                    ++result.rateLimited;
-                    break;
-                case service::Status::Capability:
-                    // Typed refusal, not a failure: the vendor-mix
-                    // scenario expects these from J/K/L devices.
-                    ++result.capability;
-                    break;
-                case service::Status::Error:
-                    noteError(result, resp.text);
-                    break;
-                }
+                break;
+            case service::Status::Busy:
+                ++result.busy;
+                break;
+            case service::Status::RateLimited:
+                ++result.rateLimited;
+                break;
+            case service::Status::Capability:
+                // Typed refusal, not a failure: the vendor-mix
+                // scenario expects these from J/K/L devices.
+                ++result.capability;
+                break;
+            case service::Status::Error:
+                noteError(result, resp.text);
+                break;
             }
-            if (completed > 0 && now < deadline) {
-                if (!send_batch(c, completed)) {
-                    c.closed = true;
-                    service::closeFd(c.fd);
-                    --open;
-                }
-            } else if (c.inFlight.empty()) {
-                c.closed = true;
-                service::closeFd(c.fd);
-                --open;
-            }
-        }
+        } while (client.ready() && !in_flight.empty());
+        if (now < deadline && !send_batch(completed))
+            return;
     }
-    for (auto &c : conns)
-        if (!c.closed)
-            service::closeFd(c.fd);
 }
 
 /**
@@ -604,97 +422,44 @@ runPufMode(const Options &opt, int count, bool verify)
 
 /**
  * Storm mode: N concurrent connections, one request each, hold until
- * the server hangs up (a drain) or the ceiling passes. Per-conn state
- * is one fd plus a tiny response buffer, so 10k connections fit well
- * under the fd and memory budgets of one process.
+ * the server hangs up (a drain) or kStormHold passes. A Client holds
+ * no read buffer of its own, so 10k of them fit well under the
+ * memory budget of one process.
  */
 int
 runStorm(const Options &opt)
 {
-    struct StormConn
-    {
-        int fd = -1;
-        std::vector<std::uint8_t> buf;
-        bool answered = false;
-        bool closed = false;
-    };
-
     service::Request req;
     req.type = service::MsgType::GetEntropy;
     req.nBytes = 8;
     req.seq = 1;
-    const auto tmpl = service::frame(service::encodeRequest(req));
 
     const std::size_t n = static_cast<std::size_t>(opt.storm);
-    std::vector<StormConn> conns(n);
+    std::vector<service::Client> conns(n);
     std::string err;
     std::size_t connected = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        conns[i].fd = service::connectTcp(opt.host, opt.port, &err);
-        if (conns[i].fd < 0) {
-            std::fprintf(stderr,
-                         "storm: connect %zu/%zu failed: %s\n", i, n,
-                         err.c_str());
+    for (; connected < n; ++connected) {
+        service::Client &c = conns[connected];
+        if (!c.connect(opt.host, opt.port, &err) || !c.send(req, &err)) {
+            std::fprintf(stderr, "storm: connection %zu/%zu failed: %s\n",
+                         connected, n, err.c_str());
             break;
         }
-        if (!service::writeAll(conns[i].fd, tmpl.data(), tmpl.size(),
-                               &err)) {
-            std::fprintf(stderr, "storm: send %zu failed: %s\n", i,
-                         err.c_str());
-            service::closeFd(conns[i].fd);
-            conns[i].fd = -1;
-            break;
-        }
-        service::setNonBlocking(conns[i].fd);
-        ++connected;
     }
     std::printf("storm: %zu/%zu connections opened\n", connected, n);
     if (connected < n)
         return 1;
 
-    // Await one response per connection.
-    std::vector<pollfd> pfds;
-    std::uint8_t rdbuf[4096];
+    // Await one response per connection. The server answers them all
+    // concurrently, so waiting in order costs no more than the last.
+    service::Response resp;
     std::size_t answered = 0;
-    const auto answer_deadline =
-        Clock::now() + std::chrono::seconds(60);
-    while (answered < connected && Clock::now() < answer_deadline) {
-        pfds.clear();
-        for (auto &c : conns)
-            if (!c.answered && !c.closed)
-                pfds.push_back({c.fd, POLLIN, 0});
-        if (::poll(pfds.data(), static_cast<nfds_t>(pfds.size()),
-                   1000) <= 0)
-            continue;
-        std::size_t pi = 0;
-        for (auto &c : conns) {
-            if (c.answered || c.closed)
-                continue;
-            const short revents = pfds[pi++].revents;
-            if (revents == 0)
-                continue;
-            const long r =
-                service::readSome(c.fd, rdbuf, sizeof(rdbuf));
-            if (r <= 0) {
-                c.closed = true;
-                service::closeFd(c.fd);
-                continue;
-            }
-            c.buf.insert(c.buf.end(), rdbuf, rdbuf + r);
-            if (c.buf.size() >= 4) {
-                const std::size_t want =
-                    4 + (std::size_t{c.buf[0]} |
-                         (std::size_t{c.buf[1]} << 8) |
-                         (std::size_t{c.buf[2]} << 16) |
-                         (std::size_t{c.buf[3]} << 24));
-                if (c.buf.size() >= want) {
-                    c.answered = true;
-                    c.buf.clear();
-                    c.buf.shrink_to_fit();
-                    ++answered;
-                }
-            }
-        }
+    const auto answer_deadline = Clock::now() + std::chrono::seconds(60);
+    for (auto &c : conns) {
+        if (c.recv(resp, &err, msUntil(answer_deadline)))
+            ++answered;
+        else
+            c.close();
     }
     std::printf("storm: %zu/%zu answered\n", answered, connected);
     if (!opt.readyFile.empty()) {
@@ -708,43 +473,22 @@ runStorm(const Options &opt)
         return 1;
 
     // Hold: connections stay open until the server drains (EOF on
-    // every fd) or the ceiling passes.
+    // every one) or the ceiling passes. Frames sent before the EOF
+    // are read and dropped.
     std::size_t hung_up = 0;
-    for (const auto &c : conns)
-        if (c.closed)
-            ++hung_up;
-    const auto hold_deadline =
-        Clock::now() + std::chrono::seconds(opt.holdSecs);
-    while (hung_up < connected && Clock::now() < hold_deadline) {
-        pfds.clear();
-        for (auto &c : conns)
-            if (!c.closed)
-                pfds.push_back({c.fd, POLLIN, 0});
-        if (::poll(pfds.data(), static_cast<nfds_t>(pfds.size()),
-                   1000) <= 0)
-            continue;
-        std::size_t pi = 0;
-        for (auto &c : conns) {
-            if (c.closed)
-                continue;
-            const short revents = pfds[pi++].revents;
-            if (revents == 0)
-                continue;
-            const long r =
-                service::readSome(c.fd, rdbuf, sizeof(rdbuf));
-            if (r <= 0) {
-                c.closed = true;
-                service::closeFd(c.fd);
-                ++hung_up;
-            }
-            // Drain any trailing bytes silently (drain responses).
+    const auto hold_deadline = Clock::now() + kStormHold;
+    for (auto &c : conns) {
+        while (c.connected() && Clock::now() < hold_deadline) {
+            // A failure before the ceiling is the server's EOF.
+            if (!c.recv(resp, &err, msUntil(hold_deadline)) &&
+                Clock::now() < hold_deadline)
+                c.close();
         }
+        if (!c.connected())
+            ++hung_up;
     }
     std::printf("storm: %zu/%zu hung up by server\n", hung_up,
                 connected);
-    for (auto &c : conns)
-        if (!c.closed)
-            service::closeFd(c.fd);
     return 0;
 }
 
@@ -768,8 +512,6 @@ main(int argc, char **argv)
                 std::strtoul(next().c_str(), nullptr, 10));
         else if (arg == "--conns")
             opt.conns = std::atoi(next().c_str());
-        else if (arg == "--threads")
-            opt.threads = std::atoi(next().c_str());
         else if (arg == "--window")
             opt.window = std::atoi(next().c_str());
         else if (arg == "--duration")
@@ -779,8 +521,6 @@ main(int argc, char **argv)
         else if (arg == "--bytes")
             opt.bytes = static_cast<std::uint32_t>(
                 std::strtoul(next().c_str(), nullptr, 10));
-        else if (arg == "--raw")
-            opt.raw = true;
         else if (arg == "--trace")
             opt.trace = true;
         else if (arg == "--check-health")
@@ -793,13 +533,8 @@ main(int argc, char **argv)
             opt.storm = std::atoi(next().c_str());
         else if (arg == "--ready-file")
             opt.readyFile = next();
-        else if (arg == "--hold-secs")
-            opt.holdSecs = std::atoi(next().c_str());
         else if (arg == "--scenario")
             opt.scenario = next();
-        else if (arg == "--fleet-chips")
-            opt.fleetChips = static_cast<std::uint32_t>(
-                std::strtoul(next().c_str(), nullptr, 10));
         else if (arg == "--puf-enroll")
             opt.pufEnroll = std::atoi(next().c_str());
         else if (arg == "--puf-verify")
@@ -813,7 +548,6 @@ main(int argc, char **argv)
     fatal_if(!opt.scenario.empty() && opt.scenario != "vendor-mix",
              "unknown --scenario '%s' (supported: vendor-mix)",
              opt.scenario.c_str());
-    fatal_if(opt.fleetChips == 0, "--fleet-chips must be >= 1");
 
     if (opt.checkHealth)
         return checkHealth(opt);
@@ -824,16 +558,6 @@ main(int argc, char **argv)
     if (opt.storm > 0)
         return runStorm(opt);
 
-    // Default thread count: half the cores (the server needs the
-    // other half on one machine), clamped to [1, conns].
-    int n_threads = opt.threads;
-    if (n_threads <= 0)
-        n_threads = std::max(
-            1, static_cast<int>(
-                   std::thread::hardware_concurrency()) /
-                   2);
-    n_threads = std::max(1, std::min(n_threads, opt.conns));
-
     const auto start = Clock::now();
     const auto warmup_end =
         start + std::chrono::milliseconds(opt.warmupMs);
@@ -841,25 +565,19 @@ main(int argc, char **argv)
         start + std::chrono::duration_cast<Clock::duration>(
                     std::chrono::duration<double>(opt.duration));
 
-    std::vector<WorkerResult> results(
-        static_cast<std::size_t>(n_threads));
+    std::vector<ConnResult> results(static_cast<std::size_t>(opt.conns));
     std::vector<std::thread> threads;
     threads.reserve(results.size());
-    for (int w = 0; w < n_threads; ++w) {
-        // Conns are spread as evenly as the division allows.
-        const int n_conns = opt.conns / n_threads +
-                            (w < opt.conns % n_threads ? 1 : 0);
-        threads.emplace_back(runWorker, std::cref(opt), w, n_conns,
-                             start, warmup_end, deadline,
-                             std::ref(results[static_cast<
-                                 std::size_t>(w)]));
-    }
+    for (int c = 0; c < opt.conns; ++c)
+        threads.emplace_back(runConn, std::cref(opt), c, warmup_end,
+                             deadline,
+                             std::ref(results[static_cast<std::size_t>(c)]));
     for (auto &t : threads)
         t.join();
     const double elapsed =
         std::chrono::duration<double>(Clock::now() - start).count();
 
-    WorkerResult total;
+    ConnResult total;
     for (auto &r : results) {
         total.ok += r.ok;
         total.busy += r.busy;
@@ -868,16 +586,9 @@ main(int argc, char **argv)
         total.errors += r.errors;
         if (total.firstError.empty())
             total.firstError = r.firstError;
-        total.hist.merge(r.hist);
         total.latenciesUs.insert(total.latenciesUs.end(),
                                  r.latenciesUs.begin(),
                                  r.latenciesUs.end());
-        if (r.timeline.size() > total.timeline.size())
-            total.timeline.resize(r.timeline.size());
-        for (std::size_t s = 0; s < r.timeline.size(); ++s) {
-            total.timeline[s].ok += r.timeline[s].ok;
-            total.timeline[s].hist.merge(r.timeline[s].hist);
-        }
     }
     std::sort(total.latenciesUs.begin(), total.latenciesUs.end());
     const double rps =
@@ -887,10 +598,9 @@ main(int argc, char **argv)
     const double p99 = percentile(total.latenciesUs, 0.99);
 
     if (!opt.quiet) {
-        std::printf("loadgen: %d conns x window %d on %d threads, "
-                    "%u bytes/req%s, %.1f s\n",
-                    opt.conns, opt.window, n_threads, opt.bytes,
-                    opt.raw ? " (raw)" : "", elapsed);
+        std::printf("loadgen: %d conns x window %d, %u bytes/req, "
+                    "%.1f s\n",
+                    opt.conns, opt.window, opt.bytes, elapsed);
         std::printf("  ok %llu  busy %llu  rate_limited %llu  "
                     "capability %llu  errors %llu\n",
                     static_cast<unsigned long long>(total.ok),
@@ -907,42 +617,23 @@ main(int argc, char **argv)
                         total.firstError.c_str());
     }
 
-    // Per-second narrative of the run: client-observed req/s and
-    // bucket-bound p99 per elapsed second.
-    std::string timeline_json = "[";
-    for (std::size_t s = 0; s < total.timeline.size(); ++s) {
-        const SecondBucket &b = total.timeline[s];
-        timeline_json += strprintf(
-            "%s{\"t_s\": %zu, \"rps\": %llu, \"p99_us\": %.1f}",
-            s ? ", " : "", s,
-            static_cast<unsigned long long>(b.ok),
-            b.hist.quantileUs(0.99));
-    }
-    timeline_json += "]";
-
     const std::string server = fetchServerSummary(opt);
     const std::string json = strprintf(
-        "{\"conns\": %d, \"threads\": %d, \"window\": %d, "
-        "\"bytes_per_req\": %u, "
-        "\"raw\": %s, \"traced\": %s, \"scenario\": \"%s\", "
-        "\"seconds\": %.3f, "
+        "{\"conns\": %d, \"window\": %d, \"bytes_per_req\": %u, "
+        "\"traced\": %s, \"scenario\": \"%s\", \"seconds\": %.3f, "
         "\"ok\": %llu, \"busy\": %llu, \"rate_limited\": %llu, "
         "\"capability\": %llu, "
         "\"errors\": %llu, \"requests_per_sec\": %.1f, "
         "\"p50_us\": %.1f, \"p95_us\": %.1f, \"p99_us\": %.1f, "
-        "\"latency_hist_us\": %s, "
-        "\"timeline\": %s, "
         "\"server\": %s}",
-        opt.conns, n_threads, opt.window, opt.bytes,
-        opt.raw ? "true" : "false", opt.trace ? "true" : "false",
+        opt.conns, opt.window, opt.bytes, opt.trace ? "true" : "false",
         opt.scenario.empty() ? "default" : opt.scenario.c_str(),
         elapsed, static_cast<unsigned long long>(total.ok),
         static_cast<unsigned long long>(total.busy),
         static_cast<unsigned long long>(total.rateLimited),
         static_cast<unsigned long long>(total.capability),
         static_cast<unsigned long long>(total.errors), rps, p50, p95,
-        p99, total.hist.json().c_str(), timeline_json.c_str(),
-        server.empty() ? "null" : server.c_str());
+        p99, server.empty() ? "null" : server.c_str());
     if (!opt.jsonOut.empty()) {
         std::FILE *f = std::fopen(opt.jsonOut.c_str(), "w");
         fatal_if(f == nullptr, "cannot write '%s'",
