@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/rng.hh"
-#include "common/rng_buffer.hh"
 #include "common/sha256.hh"
 #include "common/simd/aligned.hh"
 #include "common/simd/simd.hh"
@@ -202,11 +201,11 @@ void
 BM_rngFillGaussian(benchmark::State &state)
 {
     Rng rng(0x5eedULL);
-    RngBuffer buf;
-    const std::size_t n = state.range(0);
+    simd::AlignedVector<double> dst(state.range(0));
+    const std::size_t n = dst.size();
     for (auto _ : state) {
-        const auto span = buf.gaussian(rng, n, 0.0, 1.0);
-        benchmark::DoNotOptimize(span.data());
+        rng.fillGaussian({dst.data(), n}, 0.0, 1.0);
+        benchmark::DoNotOptimize(dst.data());
     }
     state.SetItemsProcessed(state.iterations() * n);
 }
@@ -221,18 +220,6 @@ BM_rngSkipGaussians(benchmark::State &state)
         benchmark::DoNotOptimize(&rng);
     }
     state.SetItemsProcessed(state.iterations() * n);
-}
-
-void
-BM_rngFillChance(benchmark::State &state)
-{
-    Rng rng(0x5eedULL);
-    std::vector<std::uint8_t> dst(state.range(0));
-    for (auto _ : state) {
-        rng.fillChance({dst.data(), dst.size()}, 0.5);
-        benchmark::DoNotOptimize(dst.data());
-    }
-    state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
 void
@@ -267,7 +254,6 @@ BENCHMARK(BM_fillFromBits)->Apply(rowArgs);
 BENCHMARK(BM_packDecisions)->Apply(rowArgs);
 BENCHMARK(BM_rngFillGaussian)->Apply(rowArgs);
 BENCHMARK(BM_rngSkipGaussians)->Apply(rowArgs);
-BENCHMARK(BM_rngFillChance)->Apply(rowArgs);
 BENCHMARK(BM_materializeRow)->Apply(rowArgs);
 
 /** The DRBG refill primitive: n independent pre-padded blocks. */

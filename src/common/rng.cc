@@ -1,22 +1,12 @@
 #include "common/rng.hh"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 
 #include "common/logging.hh"
-#include "common/simd/ops.hh"
 
 namespace fracdram
 {
-
-namespace
-{
-
-/** Raw->Bernoulli chunk size: 2 KiB of raw words. */
-constexpr std::size_t kRawChunk = 256;
-
-} // namespace
 
 double
 Rng::materializeSpare()
@@ -54,22 +44,6 @@ Rng::gaussianNoSpare()
     const double r = std::sqrt(-2.0 * std::log(u1));
     const double theta = 2.0 * M_PI * u2;
     return r * std::cos(theta);
-}
-
-void
-Rng::fillChance(std::span<std::uint8_t> dst, double p)
-{
-    // One next() per slot in index order, exactly like the scalar
-    // loop; the raw->Bernoulli map (convert + compare + byte pack)
-    // runs in the SIMD tier.
-    const std::size_t n = dst.size();
-    std::uint64_t raw[kRawChunk];
-    for (std::size_t i = 0; i < n; i += kRawChunk) {
-        const std::size_t lim = std::min(kRawChunk, n - i);
-        for (std::size_t k = 0; k < lim; ++k)
-            raw[k] = next();
-        simd::rawOps().chanceMap(dst.data() + i, raw, p, lim);
-    }
 }
 
 template <class SpareFn, class PairFn>

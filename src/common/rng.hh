@@ -9,11 +9,12 @@
  * from one root seed via SplitMix64 hashing.
  *
  * Batched draws: the columnar kernels (sim/kernels) consume noise a
- * whole row at a time through fillGaussian/fillChance. These are
- * *stream-equivalent* to the scalar loops they replace: fillGaussian
- * over n slots advances the engine exactly as n gaussian(mean, sigma)
- * calls would, bit for bit, including the Box-Muller spare cache. See
- * DESIGN.md ("Columnar kernels") before touching any of this.
+ * whole row at a time through fillGaussian. It is *stream-equivalent*
+ * to the scalar loop it replaces: fillGaussian over n slots advances
+ * the engine exactly as n gaussian(mean, sigma) calls would, bit for
+ * bit, including the Box-Muller spare cache. Bernoulli coins are drawn
+ * one chance() at a time. See DESIGN.md ("Columnar kernels") before
+ * touching any of this.
  *
  * skipGaussians advances the stream without paying for the
  * transcendentals; the half-drawn pair it may leave behind is stored
@@ -185,12 +186,6 @@ class Rng
      */
     void fillGaussian(std::span<double> dst, double mean,
                       double sigma);
-
-    /**
-     * Fill @p dst with Bernoulli draws identical to dst[i] =
-     * chance(p) ? 1 : 0 in index order.
-     */
-    void fillChance(std::span<std::uint8_t> dst, double p);
 
     /**
      * Advance the stream exactly as @p n gaussian() draws would -

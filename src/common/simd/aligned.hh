@@ -4,8 +4,8 @@
  * arrays. The SIMD kernels use unaligned loads (so any pointer is
  * *correct*), but 64-byte alignment keeps every 256-bit access inside
  * one cache line and lets the hardware prefetcher see clean streams;
- * threading AlignedVector through Bank/RowStore/RngBuffer scratch
- * makes that the default for every kernel operand.
+ * threading AlignedVector through the bank's row scratch makes that
+ * the default for every kernel operand.
  */
 
 #ifndef FRACDRAM_COMMON_SIMD_ALIGNED_HH

@@ -2,8 +2,8 @@
  * @file
  * Runtime ISA selection for the SIMD kernel layer.
  *
- * Every vectorized path in the tree (sim/kernels_*.cc, the SHA-256
- * compress/multi-way TUs, the common/simd ops table) is selected
+ * Every vectorized path in the tree (sim/kernels_*.cc and the SHA-256
+ * compress/multi-way TUs) is selected
  * through one process-wide resolution: cpuid feature detection,
  * clamped by what the build compiled (FRACDRAM_HAVE_* macros) and by
  * the FRACDRAM_ISA environment override. The resolution happens once,

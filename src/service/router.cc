@@ -435,27 +435,14 @@ Router::dispatchFrame(StreamConn &conn,
     if (req.type == MsgType::GetEntropy) {
         if ((req.flags & kFlagDeviceId) != 0) {
             if (!deviceSupportsQuac(req.device)) {
-                if (cfg_.steerIncapable) {
-                    // Steer the work to a capable device: entropy has
-                    // no device identity the client can observe, so
-                    // the rewrite is invisible (and deterministic, so
-                    // the stream still comes from one device).
-                    req.device = steerToCapable(req.device);
-                    rewritten = true;
-                    steered_.fetch_add(1, std::memory_order_relaxed);
-                    telemetry::count(steeredCtr_);
-                } else {
-                    capability_.fetch_add(1,
-                                          std::memory_order_relaxed);
-                    telemetry::count(capabilityCtr_);
-                    inlineResponse(
-                        conn, req, Status::Capability,
-                        strprintf("device %u is in a vendor group "
-                                  "that cannot do the four-row "
-                                  "activation QUAC-TRNG needs",
-                                  req.device));
-                    return;
-                }
+                // Steer the work to a capable device: entropy has no
+                // device identity the client can observe, so the
+                // rewrite is invisible (and deterministic, so the
+                // stream still comes from one device).
+                req.device = steerToCapable(req.device);
+                rewritten = true;
+                steered_.fetch_add(1, std::memory_order_relaxed);
+                telemetry::count(steeredCtr_);
             }
             has_key = true;
             key = req.device;
@@ -514,8 +501,7 @@ Router::dispatchFrame(StreamConn &conn,
     // Replicate enrollment to the ring successor before the primary
     // write so a primary that dies mid-batch cannot leave the key
     // un-replicated; the replica's response is discarded.
-    if (req.type == MsgType::PufEnroll && cfg_.replicateEnroll &&
-        secondary >= 0) {
+    if (req.type == MsgType::PufEnroll && secondary >= 0) {
         Pending rep;
         rep.connId = 0;
         rep.hasKey = true;
@@ -653,8 +639,7 @@ Router::fleetJson() const
     std::ostringstream os;
     os << "{\"status\": \"" << (running_ ? "ok" : "stopped")
        << "\", \"role\": \"router\", \"vnodes_per_backend\": "
-       << cfg_.vnodes << ", \"replication\": "
-       << (cfg_.replicateEnroll ? "true" : "false")
+       << cfg_.vnodes << ", \"replication\": true"
        << ", \"uptime_s\": " << (monoNs() - startNs_) / 1'000'000'000
        << ", \"connections\": "
        << ledger_.live.load(std::memory_order_relaxed)

@@ -84,9 +84,7 @@ struct RouterConfig
     std::uint16_t port = 0; //!< client listen port; 0 = ephemeral
     int metricsPort = -1;   //!< router HTTP; -1 = off, 0 = ephemeral
     std::vector<BackendAddr> backends;
-    int vnodes = 64;             //!< ring points per backend
-    bool replicateEnroll = true; //!< PUF_ENROLL to ring successor
-    bool steerIncapable = true;  //!< rewrite J/K/L/N entropy ids
+    int vnodes = 64; //!< ring points per backend
     int probeIntervalMs = 250;
     int ejectAfter = 3;   //!< consecutive probe failures to eject
     int readmitAfter = 2; //!< consecutive successes to re-admit

@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "common/logging.hh"
-#include "common/rng_buffer.hh"
 #include "sim/kernels.hh"
 #include "sim/kernels_scalar.hh"
 #include "telemetry/metrics.hh"
@@ -111,10 +110,11 @@ struct DeferredRow
  */
 struct Scratch
 {
-    RngBuffer rng;
     simd::AlignedVector<double> num, den, eq, eqHi, noise;
     simd::AlignedVector<std::uint8_t> dec;
-    simd::AlignedVector<float> vrtOrig; //!< VRT cells' pre-decay volts
+    /** One leakage's VRT coins and the VRT cells' pre-decay volts. */
+    simd::AlignedVector<std::uint8_t> coins;
+    simd::AlignedVector<float> vrtOrig;
     /** Staging arrays for VariationMap::materializeRow. */
     simd::AlignedVector<double> matAlpha, matTau, matCpl, matOff;
     simd::AlignedVector<std::uint8_t> matStartup, matVrt;
@@ -355,9 +355,9 @@ Bank::applyLeakage(RowStore &store)
     // The VRT coin flip must be drawn for every VRT cell (ascending
     // column order) to keep the trial RNG stream identical to the
     // reference model, even where the voltage is already zero.
-    std::span<const std::uint8_t> coins;
-    if (nvrt != 0)
-        coins = s.rng.chance(ctx_.trialRng, nvrt, 0.5);
+    s.coins.resize(nvrt);
+    for (std::size_t k = 0; k < nvrt; ++k)
+        s.coins[k] = ctx_.trialRng.chance(0.5) ? 1 : 0;
     if (telemetry::enabled()) {
         const auto &bc = bankCounters();
         telemetry::count(bc.decay);
@@ -382,7 +382,7 @@ Bank::applyLeakage(RowStore &store)
     kernels::decayMultiply(store.volts.data(), entry.mul.data(),
                            store.volts.size());
     for (std::size_t k = 0; k < nvrt; ++k) {
-        if (coins[k]) {
+        if (s.coins[k]) {
             store.volts[store.vrtIdx[k]] = static_cast<float>(
                 static_cast<double>(s.vrtOrig[k]) * entry.fastMul[k]);
         }
@@ -747,45 +747,7 @@ Bank::fullActivate(bool discard_values)
         eq_hi = sc.eqHi.data();
     }
     double *eq = sc.eq.data();
-
-    // The sense decision dec = (eq - half) > sa + noise, with noise
-    // one gaussian per column in order (nothing else draws between
-    // columns). A column whose eq range clears sa -+ sigma * bound
-    // (DESIGN.md 5c rule 5) is decided without its noise; the live
-    // stream then advances exactly as fillGaussian would, computing
-    // noise only for the undecided columns.
-    const auto noise_bound = scaledBounds(noise_sigma);
-    sc.bound.resize(cols);
-    {
-        Rng probe = ctx_.trialRng;
-        probe.skipGaussians(std::span<std::uint8_t>(sc.bound.data(), cols));
-    }
-    const float *sa = saOffsets_.data();
-    sc.dec.resize(cols);
-    sc.need.resize(cols);
-    for (ColAddr c = 0; c < cols; ++c) {
-        const double nb = noise_bound[sc.bound[c]];
-        const bool up = (eq[c] - half) > sa[c] + nb;
-        const bool down = (eq_hi[c] - half) <= sa[c] - nb;
-        sc.dec[c] = up ? 1 : 0;
-        sc.need[c] = up || down ? 0 : 1;
-    }
-    sc.noise.resize(cols);
-    ctx_.trialRng.fillGaussianMasked(
-        std::span<double>(sc.noise.data(), cols),
-        std::span<const std::uint8_t>(sc.need.data(), cols), 0.0,
-        noise_sigma);
-    for (ColAddr c = 0; c < cols; ++c) {
-        if (!sc.need[c])
-            continue;
-        const double y = sa[c] + sc.noise[c];
-        if ((eq[c] - half) > y) {
-            sc.dec[c] = 1;
-            sc.need[c] = 0;
-        } else if ((eq_hi[c] - half) <= y) {
-            sc.need[c] = 0;
-        }
-    }
+    boundedSense(eq, eq_hi, half, noise_sigma);
 
     const bool telem = telemetry::enabled();
     if (interval) {
@@ -793,6 +755,7 @@ Bank::fullActivate(bool discard_values)
         // undecided column, a column whose eq > half (sense.flips)
         // is open, a cell whose fractional band a Frac left open.
         RowStore &store = *open_[0].store;
+        const float *sa = saOffsets_.data();
         sc.chain.resize(cols);
         for (ColAddr c = 0; c < cols; ++c)
             sc.chain[c] = sc.need[c] ||
@@ -841,6 +804,52 @@ Bank::fullActivate(bool discard_values)
         for (ColAddr c = 0; c < cols; ++c)
             flips += (sc.dec[c] != 0) != (eq[c] > half);
         telemetry::count(bc.senseFlips, flips);
+    }
+}
+
+void
+Bank::boundedSense(const double *eq, const double *eq_hi, double half,
+                   double noise_sigma)
+{
+    // The sense decision dec = (eq - half) > sa + noise, with noise
+    // one gaussian per column in order (nothing else draws between
+    // columns). A column whose eq range clears sa -+ sigma * bound
+    // (DESIGN.md 5c rule 5) is decided without its noise; the live
+    // stream then advances exactly as fillGaussian would, computing
+    // noise only for the undecided columns.
+    const auto cols = ctx_.params.colsPerRow;
+    Scratch &sc = scratch();
+    const auto noise_bound = scaledBounds(noise_sigma);
+    sc.bound.resize(cols);
+    {
+        Rng probe = ctx_.trialRng;
+        probe.skipGaussians(std::span<std::uint8_t>(sc.bound.data(), cols));
+    }
+    const float *sa = saOffsets_.data();
+    sc.dec.resize(cols);
+    sc.need.resize(cols);
+    for (ColAddr c = 0; c < cols; ++c) {
+        const double nb = noise_bound[sc.bound[c]];
+        const bool up = (eq[c] - half) > sa[c] + nb;
+        const bool down = (eq_hi[c] - half) <= sa[c] - nb;
+        sc.dec[c] = up ? 1 : 0;
+        sc.need[c] = up || down ? 0 : 1;
+    }
+    sc.noise.resize(cols);
+    ctx_.trialRng.fillGaussianMasked(
+        std::span<double>(sc.noise.data(), cols),
+        std::span<const std::uint8_t>(sc.need.data(), cols), 0.0,
+        noise_sigma);
+    for (ColAddr c = 0; c < cols; ++c) {
+        if (!sc.need[c])
+            continue;
+        const double y = sa[c] + sc.noise[c];
+        if ((eq[c] - half) > y) {
+            sc.dec[c] = 1;
+            sc.need[c] = 0;
+        } else if ((eq_hi[c] - half) <= y) {
+            sc.need[c] = 0;
+        }
     }
 }
 
@@ -1020,11 +1029,12 @@ Bank::interruptedClose()
         // batch the draws and run the whole charge-share + settle
         // chain as one fused pass.
         RowStore &store = *open_[0].store;
-        const auto noise =
-            sc.rng.gaussian(ctx_.trialRng, cols, 0.0, cell_noise);
+        sc.noise.resize(cols);
+        ctx_.trialRng.fillGaussian(
+            std::span<double>(sc.noise.data(), cols), 0.0, cell_noise);
         kernels::fracSettle(store.volts.data(), store.alpha.data(),
                             store.coupling.data(),
-                            store.fracOff.data(), noise.data(),
+                            store.fracOff.data(), sc.noise.data(),
                             open_[0].weight, cb * half, cb, cols);
         store.lastTouch = ctx_.now;
         openRows_.clear();
@@ -1154,7 +1164,9 @@ Bank::refreshAllRows()
     settleDeferred();
     // Internally activate-restore each allocated row, exactly like a
     // normal single-row activation (destroys fractional values,
-    // Sec. III-C).
+    // Sec. III-C), with its bounded readout. Refresh keeps its own
+    // counter: no full_activate, no sense.flips.
+    const auto cols = ctx_.params.colsPerRow;
     const Volt vdd = ctx_.env.vdd;
     const float vddf = static_cast<float>(vdd);
     const Volt half = vdd / 2.0;
@@ -1170,9 +1182,6 @@ Bank::refreshAllRows()
             0.0, ctx_.profile.trialJitterSigma);
         const double role_w =
             ctx_.profile.roleWeight(RowRole::FirstAct) * jitter;
-        const std::size_t cols = store.volts.size();
-        const auto noise =
-            sc.rng.gaussian(ctx_.trialRng, cols, 0.0, noise_sigma);
         sc.num.assign(cols, cb * half);
         sc.den.assign(cols, cb);
         kernels::chargeAccumulate(sc.num.data(), sc.den.data(),
@@ -1181,10 +1190,7 @@ Bank::refreshAllRows()
         sc.eq.resize(cols);
         kernels::equilibrium(sc.eq.data(), sc.num.data(), sc.den.data(),
                              cols);
-        sc.dec.resize(cols);
-        kernels::senseDecide(sc.dec.data(), sc.eq.data(),
-                             saOffsets_.data(), noise.data(), half,
-                             cols);
+        boundedSense(sc.eq.data(), sc.eq.data(), half, noise_sigma);
         kernels::driveRails(store.volts.data(), sc.dec.data(), vddf,
                             cols);
         store.lastTouch = ctx_.now;

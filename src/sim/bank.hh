@@ -24,12 +24,15 @@
  * written (or replayed stream-only) never computes them.
  *
  * The analog hot paths run on the columnar kernels (sim/kernels):
- * noise is drawn row-wide through a per-thread RngBuffer in exactly
- * the order the scalar reference loops drew it (DESIGN.md, "Columnar
- * kernels"), leakage decay factors are cached per row and exp factor,
- * and an activation that is resolved by a WRITE - whose sensed values
- * nothing can observe before the write overwrites them - advances the
- * RNG streams without paying for the physics.
+ * noise is drawn row-wide into per-thread scratch through
+ * Rng::fillGaussian in exactly the order the scalar reference loops
+ * drew it (DESIGN.md, "Columnar kernels"), and every sense readout -
+ * an activation's or a refresh's - computes noise only for the
+ * columns its per-draw bound leaves undecided. Leakage decay factors
+ * are cached per row and exp factor, and an activation that is
+ * resolved by a WRITE - whose sensed values nothing can observe
+ * before the write overwrites them - advances the RNG streams without
+ * paying for the physics.
  *
  * A bank keeps only state that can still be observed: cell storage,
  * the sense-amp offsets and the FSM. Row-wide scratch (RNG batches,
@@ -302,6 +305,19 @@ class Bank
      * live path would but skip the (unobservable) physics.
      */
     void fullActivate(bool discard_values = false);
+
+    /**
+     * The sense readout shared by fullActivate and refreshAllRows:
+     * decide every column's dec = (eq - half) > sa + noise, one noise
+     * gaussian per column from the trial stream, where the column's
+     * equilibrium lies in [eq[c], eq_hi[c]] (eq_hi == eq when exact).
+     * A column its per-draw bound settles takes no noise; the stream
+     * still advances exactly as fillGaussian. Leaves in the thread's
+     * scratch the decisions, the noise of every column that needed
+     * it, and the columns the range still leaves open.
+     */
+    void boundedSense(const double *eq, const double *eq_hi, double half,
+                      double noise_sigma);
 
     /** Commit an interrupted close: partial settle, no full sense. */
     void interruptedClose();

@@ -1181,7 +1181,10 @@ struct QuietBank
 
 constexpr RowAddr kQuietRow = 3;
 
-/** eq - half of a quiet-bank cell at @p v, as fullActivate computes it. */
+/**
+ * eq - half of a quiet-bank cell at @p v, as fullActivate and
+ * refreshAllRows compute it.
+ */
 double
 quietMargin(float v)
 {
@@ -1193,15 +1196,25 @@ quietMargin(float v)
     return num / den - 0.5;
 }
 
+/** The two readouts that sense a row: an activation and a refresh. */
+enum class Readout
+{
+    Activate,
+    Refresh,
+};
+
 /**
- * Activate the quiet row with every cell at @p v and compare it with
- * the eager decision: the trial jitter's gaussian, then
- * fillGaussian's noise for every column, then (eq - half) > noise.
- * The row buffer, the trial stream's fingerprint and sense.flips must
- * all match.
+ * Read the quiet row with every cell at @p v through @p readout and
+ * compare it with the eager decision: the trial jitter's gaussian,
+ * then fillGaussian's noise for every column, then (eq - half) >
+ * noise. The trial stream's fingerprint must match. An activation
+ * must also match the row buffer and sense.flips; a refresh must
+ * match the stored volts (the rails), count the row in
+ * sim.bank.refresh_rows and move neither full_activate nor
+ * sense.flips.
  */
 void
-expectEagerSense(double noise_sigma, float v)
+expectEagerSense(double noise_sigma, float v, Readout readout)
 {
     QuietBank q(noise_sigma);
     const auto cols = q.ctx.params.colsPerRow;
@@ -1214,33 +1227,53 @@ expectEagerSense(double noise_sigma, float v)
     const double margin = quietMargin(v);
     const bool anti = q.bank.rowIsAnti(kQuietRow);
     BitVector want(cols);
+    std::vector<float> want_volts(cols);
     std::uint64_t want_flips = 0;
     for (ColAddr c = 0; c < cols; ++c) {
         const bool dec = margin > 0.0f + noise[c];
         want.set(c, dec != anti);
+        want_volts[c] = dec ? 1.0f : 0.0f;
         want_flips += dec != (margin > 0.0);
     }
 
-    const auto flips_before = simCounters()["sim.kernel.sense.flips"];
-    Cycles t = 100;
-    q.bank.commandAct(t, kQuietRow);
-    t += 6;
-    EXPECT_EQ(q.bank.commandRead(t).toString(), want.toString());
+    auto before = simCounters();
+    if (readout == Readout::Activate) {
+        Cycles t = 100;
+        q.bank.commandAct(t, kQuietRow);
+        t += 6;
+        EXPECT_EQ(q.bank.commandRead(t).toString(), want.toString());
+        EXPECT_EQ(q.ctx.trialRng.fingerprint(), eager.fingerprint());
+        EXPECT_EQ(simCounters()["sim.kernel.sense.flips"] -
+                      before["sim.kernel.sense.flips"],
+                  want_flips);
+        return;
+    }
+    ASSERT_EQ(q.bank.allocatedRows(), std::vector<RowAddr>{kQuietRow});
+    q.bank.refreshAllRows();
+    const auto volts = q.bank.storedVolts(kQuietRow);
+    EXPECT_EQ(std::vector<float>(volts.begin(), volts.end()),
+              want_volts);
     EXPECT_EQ(q.ctx.trialRng.fingerprint(), eager.fingerprint());
-    EXPECT_EQ(simCounters()["sim.kernel.sense.flips"] - flips_before,
-              want_flips);
+    auto after = simCounters();
+    EXPECT_EQ(after["sim.bank.refresh_rows"] -
+                  before["sim.bank.refresh_rows"],
+              1u);
+    EXPECT_EQ(after["sim.kernel.full_activate"],
+              before["sim.kernel.full_activate"]);
+    EXPECT_EQ(after["sim.kernel.sense.flips"],
+              before["sim.kernel.sense.flips"]);
 }
 
 } // namespace
 
 TEST(BankBoundedSense, MarginAtTheNoiseBoundMatchesEagerSense)
 {
-    // fullActivate decides a column without its noise when the margin
-    // eq - half - sa clears sigma * Rng::gaussianBound()[e], e being
-    // the bound index of the column's draw (DESIGN.md 5c rule 5).
-    // Place one column's margin just outside and just inside that
-    // bound, and just inside its actual noise, and compare each with
-    // the eager decision.
+    // fullActivate and refreshAllRows decide a column without its
+    // noise when the margin eq - half - sa clears sigma *
+    // Rng::gaussianBound()[e], e being the bound index of the
+    // column's draw (DESIGN.md 5c rule 5). Place one column's margin
+    // just outside and just inside that bound, and just inside its
+    // actual noise, and compare each readout with the eager decision.
     const bool was_enabled = telemetry::enabled();
     telemetry::setEnabled(true);
     const float v = 0.5f + 0.001f;
@@ -1287,25 +1320,29 @@ TEST(BankBoundedSense, MarginAtTheNoiseBoundMatchesEagerSense)
     while (flipped * g <= margin)
         flipped = std::nextafter(flipped, 1.0);
 
-    {
-        SCOPED_TRACE("just outside the bound");
-        expectEagerSense(outside, v);
-    }
-    {
-        SCOPED_TRACE("just inside the bound");
-        expectEagerSense(inside, v);
-    }
-    {
-        SCOPED_TRACE("just inside the column's noise");
-        expectEagerSense(flipped, v);
-    }
-    {
-        // Exactly at the bound: a noiseless amplifier (bound 0) with a
-        // cell at exactly V_dd / 2 (margin 0). Only the strict
-        // comparison decides, and it reads 0.
-        SCOPED_TRACE("at the bound, noiseless");
-        ASSERT_EQ(quietMargin(0.5f), 0.0);
-        expectEagerSense(0.0, 0.5f);
+    ASSERT_EQ(quietMargin(0.5f), 0.0);
+    for (const Readout readout : {Readout::Activate, Readout::Refresh}) {
+        SCOPED_TRACE(readout == Readout::Activate ? "activate"
+                                                  : "refresh");
+        {
+            SCOPED_TRACE("just outside the bound");
+            expectEagerSense(outside, v, readout);
+        }
+        {
+            SCOPED_TRACE("just inside the bound");
+            expectEagerSense(inside, v, readout);
+        }
+        {
+            SCOPED_TRACE("just inside the column's noise");
+            expectEagerSense(flipped, v, readout);
+        }
+        {
+            // Exactly at the bound: a noiseless amplifier (bound 0)
+            // with a cell at exactly V_dd / 2 (margin 0). Only the
+            // strict comparison decides, and it reads 0.
+            SCOPED_TRACE("at the bound, noiseless");
+            expectEagerSense(0.0, 0.5f, readout);
+        }
     }
     telemetry::setEnabled(was_enabled);
 }

@@ -1,7 +1,7 @@
 /**
  * @file
- * ISA-equivalence property tests for the dispatched columnar kernels
- * and raw-draw maps: the AVX2 tier, when this binary compiled it and
+ * ISA-equivalence property tests for the dispatched columnar
+ * kernels: the AVX2 tier, when this binary compiled it and
  * this machine can run it, must produce bit-identical output to the
  * scalar reference, for every kernel, over random inputs at sizes
  * covering every vector tail length (n % 16 in [0, 15]) plus
@@ -16,7 +16,7 @@
 #include <random>
 #include <vector>
 
-#include "common/simd/ops.hh"
+#include "common/simd/simd.hh"
 #include "sim/kernels.hh"
 #include "sim/kernels_dispatch.hh"
 
@@ -59,13 +59,6 @@ vectorTiers()
     if (t != nullptr)
         tiers.push_back({simd::isaName(simd::Isa::Avx2), t});
     return tiers;
-}
-
-/** Rng::uniform()'s map of one raw engine word. */
-double
-uniformOf(std::uint64_t raw)
-{
-    return static_cast<double>(raw >> 11) * 0x1.0p-53;
 }
 
 class Inputs
@@ -318,40 +311,6 @@ TEST(KernelsIsaTest, PackDecisions)
                     << tier.name << " n=" << n
                     << " invert=" << invert;
             }
-}
-
-TEST(KernelsIsaTest, ChanceMap)
-{
-    const simd::RawOps &ref = *simd::rawOpsForIsa(simd::Isa::Scalar);
-    const simd::RawOps *avx2 = simd::rawOpsForIsa(simd::Isa::Avx2);
-    if (avx2 == nullptr)
-        GTEST_SKIP() << "no runnable vector tier";
-    for (const std::size_t n : testSizes()) {
-        std::mt19937_64 gen(n * 31 + 1);
-        std::vector<std::uint64_t> raw(n);
-        for (auto &r : raw)
-            r = gen();
-        // The extremes of the uniform map: exactly 0 and 1 - 2^-53.
-        for (std::size_t i = 3; i < n; i += 7)
-            raw[i] = 0;
-        for (std::size_t i = 5; i < n; i += 11)
-            raw[i] = ~std::uint64_t{0};
-        // p equal to an input uniform pins the strict comparison:
-        // raw[0] lands in the vector loop once n >= 4, raw[n - 1] in
-        // the scalar tail unless n % 4 == 0.
-        std::vector<double> ps = {0.0, 1.0, 0.5};
-        if (n > 0) {
-            ps.push_back(uniformOf(raw[0]));
-            ps.push_back(uniformOf(raw[n - 1]));
-        }
-        for (const double p : ps) {
-            std::vector<std::uint8_t> got(n, 0xcc), want(n, 0xcc);
-            avx2->chanceMap(got.data(), raw.data(), p, n);
-            ref.chanceMap(want.data(), raw.data(), p, n);
-            EXPECT_TRUE(bitIdentical(got, want))
-                << "avx2 n=" << n << " p=" << p;
-        }
-    }
 }
 
 TEST(KernelsIsaTest, ParseIsaAcceptsOnlyLiveTiers)

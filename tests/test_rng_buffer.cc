@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the batched-RNG layer: RngBuffer fills, the
- * Rng::fillGaussian / fillChance / skipGaussians stream-equivalence
- * contract the columnar kernels rely on, the bound-emitting skip and
+ * Tests for the batched-RNG layer: the Rng::fillGaussian /
+ * skipGaussians stream-equivalence contract the columnar kernels
+ * rely on, the bound-emitting skip and
  * the masked fill checked against plain fillGaussian, the firstDraw
  * shortcut, and the interaction with the trial engine's mixSeed-based
  * seeding at several thread counts.
@@ -19,7 +19,6 @@
 
 #include "common/parallel.hh"
 #include "common/rng.hh"
-#include "common/rng_buffer.hh"
 
 using namespace fracdram;
 
@@ -163,36 +162,24 @@ TEST(RngBuffer, GaussianMatchesScalarDraws)
                                 std::size_t{7}, std::size_t{128},
                                 std::size_t{1001}}) {
         Rng rng(kSeed);
-        RngBuffer buf;
-        const auto span = buf.gaussian(rng, n, 0.25, 1.5);
-        ASSERT_EQ(span.size(), n);
+        std::vector<double> got(n);
+        rng.fillGaussian(got, 0.25, 1.5);
         const auto ref = scalarGaussians(kSeed, n, 0.25, 1.5);
         for (std::size_t i = 0; i < n; ++i)
-            EXPECT_EQ(span[i], ref[i]) << "n=" << n << " i=" << i;
+            EXPECT_EQ(got[i], ref[i]) << "n=" << n << " i=" << i;
     }
-}
-
-TEST(RngBuffer, ChanceMatchesScalarDraws)
-{
-    Rng a(kSeed);
-    Rng b(kSeed);
-    RngBuffer buf;
-    const auto span = buf.chance(a, 513, 0.3);
-    ASSERT_EQ(span.size(), 513u);
-    for (std::size_t i = 0; i < span.size(); ++i)
-        EXPECT_EQ(span[i], b.chance(0.3) ? 1 : 0) << "i=" << i;
 }
 
 TEST(RngBuffer, ConsecutiveFillsContinueTheStream)
 {
-    // Two buffered fills back to back must equal one scalar sequence:
-    // the buffer only stores, it never re-seeds or skips.
+    // Two fills back to back must equal one scalar sequence: a fill
+    // never re-seeds or skips.
     Rng rng(kSeed);
-    RngBuffer buf;
     std::vector<double> got;
     for (const std::size_t n : {std::size_t{5}, std::size_t{8}}) {
-        const auto span = buf.gaussian(rng, n, 0.0, 1.0);
-        got.insert(got.end(), span.begin(), span.end());
+        std::vector<double> part(n);
+        rng.fillGaussian(part, 0.0, 1.0);
+        got.insert(got.end(), part.begin(), part.end());
     }
     const auto ref = scalarGaussians(kSeed, 13, 0.0, 1.0);
     ASSERT_EQ(got.size(), ref.size());
@@ -208,9 +195,8 @@ TEST(RngBuffer, PartialFillTailHandsSpareToNextDraw)
     for (const std::size_t odd : {std::size_t{1}, std::size_t{3},
                                   std::size_t{255}}) {
         Rng rng(kSeed);
-        RngBuffer buf;
-        const auto head = buf.gaussian(rng, odd, 0.0, 1.0);
-        ASSERT_EQ(head.size(), odd);
+        std::vector<double> head(odd);
+        rng.fillGaussian(head, 0.0, 1.0);
         const double next = rng.gaussian();
         Rng ref(kSeed);
         for (std::size_t i = 0; i < odd; ++i)
@@ -243,14 +229,11 @@ TEST(RngBuffer, SkipInterleavesWithFills)
 {
     // skip / fill / skip / fill must track the pure-draw stream.
     Rng fast(kSeed);
-    RngBuffer buf;
-    std::vector<double> got;
+    std::vector<double> got(9);
     fast.skipGaussians(3);
-    for (const auto &v : buf.gaussian(fast, 4, 0.0, 1.0))
-        got.push_back(v);
+    fast.fillGaussian(std::span<double>(got.data(), 4), 0.0, 1.0);
     fast.skipGaussians(1);
-    for (const auto &v : buf.gaussian(fast, 5, 0.0, 1.0))
-        got.push_back(v);
+    fast.fillGaussian(std::span<double>(got.data() + 4, 5), 0.0, 1.0);
 
     Rng slow(kSeed);
     std::vector<double> ref;
@@ -286,7 +269,7 @@ TEST(RngBuffer, FirstDrawMatchesFullSeeding)
 
 TEST(RngBuffer, MixSeedStreamsIndependentOfThreadCount)
 {
-    // The trial engine seeds stream i as mixSeed(root, i); buffered
+    // The trial engine seeds stream i as mixSeed(root, i); batched
     // draws inside a parallelMap must give bit-identical results at
     // any thread count (scheduling never touches the streams).
     constexpr std::size_t kTrials = 32;
@@ -296,9 +279,9 @@ TEST(RngBuffer, MixSeedStreamsIndependentOfThreadCount)
         parallel::setThreads(threads);
         return parallel::parallelMap(kTrials, [](std::size_t i) {
             Rng rng(mixSeed(kSeed, i));
-            RngBuffer buf;
-            const auto span = buf.gaussian(rng, kDraws, 0.0, 1.0);
-            return std::vector<double>(span.begin(), span.end());
+            std::vector<double> out(kDraws);
+            rng.fillGaussian(out, 0.0, 1.0);
+            return out;
         });
     };
 

@@ -22,9 +22,6 @@
  *   --backend H:P[:MP]     daemon data port P (and metrics port MP)
  *                          on host H; repeatable, at least one
  *   --vnodes N             ring points per daemon (default 64)
- *   --no-replicate         do not replicate PUF_ENROLL
- *   --no-steer             CAPABILITY error instead of steering
- *                          incapable entropy devices
  *   --probe-interval-ms N  health probe cadence (default 250)
  *   --eject-after N        consecutive probe failures (default 3)
  *   --readmit-after N      consecutive successes (default 2)
@@ -109,10 +106,6 @@ main(int argc, char **argv)
             cfg.backends.push_back(parseBackend(next()));
         else if (arg == "--vnodes")
             cfg.vnodes = std::atoi(next().c_str());
-        else if (arg == "--no-replicate")
-            cfg.replicateEnroll = false;
-        else if (arg == "--no-steer")
-            cfg.steerIncapable = false;
         else if (arg == "--probe-interval-ms")
             cfg.probeIntervalMs = std::atoi(next().c_str());
         else if (arg == "--eject-after")

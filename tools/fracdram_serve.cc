@@ -20,14 +20,9 @@
  *   --no-pin            do not pin reactors/shards to cores
  *   --group X           vendor group A-N (default B)
  *   --cols N            bits per row (default 1024)
- *   --queue-cap N       per-shard queue bound (default 1024)
- *   --batch-max N       max jobs coalesced per wakeup (default 64)
- *   --reseed-kib N      DRBG bytes between reseeds (default 4096)
  *   --max-conns N       connection cap (default 64)
  *   --max-enrollments N PUF references kept per shard (default 4096)
  *   --rate-limit R      per-connection requests/s (default 0 = off)
- *   --idle-timeout-ms N close idle connections (default 60000)
- *   --write-timeout-ms N drop peers that stop reading (default 5000)
  *   --telemetry-out DIR write metrics/trace reports on exit
  *   --quiet             suppress inform() chatter
  *
@@ -125,15 +120,6 @@ main(int argc, char **argv)
         else if (arg == "--cols")
             cfg.shard.colsPerRow = static_cast<std::uint32_t>(
                 std::strtoul(next().c_str(), nullptr, 10));
-        else if (arg == "--queue-cap")
-            cfg.shard.queueCapacity =
-                std::strtoull(next().c_str(), nullptr, 10);
-        else if (arg == "--batch-max")
-            cfg.shard.maxBatchJobs =
-                std::strtoull(next().c_str(), nullptr, 10);
-        else if (arg == "--reseed-kib")
-            cfg.shard.reseedBytes =
-                std::strtoull(next().c_str(), nullptr, 10) * 1024;
         else if (arg == "--max-conns")
             cfg.maxConnections =
                 std::strtoull(next().c_str(), nullptr, 10);
@@ -142,10 +128,6 @@ main(int argc, char **argv)
                 std::strtoull(next().c_str(), nullptr, 10);
         else if (arg == "--rate-limit")
             cfg.rateLimitPerConn = std::atof(next().c_str());
-        else if (arg == "--idle-timeout-ms")
-            cfg.idleTimeoutMs = std::atoi(next().c_str());
-        else if (arg == "--write-timeout-ms")
-            cfg.writeTimeoutMs = std::atoi(next().c_str());
         else if (arg == "--telemetry-out")
             telemetry_out = next();
         else if (arg == "--metrics-port")
