@@ -117,6 +117,18 @@ class Rng
     }
 
     /**
+     * Bound index of the first gaussian() of a fresh Rng(seed), via
+     * firstDraw: |gaussian()| <= gaussianBound()[e] (DESIGN.md 5c
+     * rule 5). 0 when the first raw word is one drawU1() rejects, so
+     * the pair's uniform is a later word and the index is unknown.
+     */
+    static unsigned firstGaussianBound(std::uint64_t seed)
+    {
+        const std::uint64_t m = firstDraw(seed) >> 11;
+        return m == 0 ? 0 : boundIndex(m);
+    }
+
+    /**
      * An engine in the given raw xoshiro state with no cached spare,
      * for tests that need an edge state (say, a zero next output).
      * The state must not be all zero.

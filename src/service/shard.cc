@@ -153,18 +153,35 @@ Shard::buildDevice(DeviceState &dev, sim::DramGroup group,
                                                  cfg_.numFracs);
 }
 
+void
+Shard::lruUnlink(DeviceState &dev)
+{
+    (dev.lruPrev ? dev.lruPrev->lruNext : lruHead_) = dev.lruNext;
+    (dev.lruNext ? dev.lruNext->lruPrev : lruTail_) = dev.lruPrev;
+    dev.lruPrev = dev.lruNext = nullptr;
+}
+
+void
+Shard::lruPushFront(DeviceState &dev)
+{
+    dev.lruNext = lruHead_;
+    (lruHead_ ? lruHead_->lruPrev : lruTail_) = &dev;
+    lruHead_ = &dev;
+}
+
 bool
 Shard::evictOne()
 {
-    DeviceState *victim = nullptr;
-    for (auto &[id, dev] : registry_) {
-        if (!dev.resident || dev.lastBatch == batchEpoch_)
-            continue;
-        if (!victim || dev.lastUsedTick < victim->lastUsedTick)
-            victim = &dev;
-    }
+    // The least recently used resident device that the batch in
+    // flight has not touched. Those it has touched carry the newest
+    // ticks, so they sit at the hot end and the walk skips at most
+    // them.
+    DeviceState *victim = lruTail_;
+    while (victim && victim->lastBatch == batchEpoch_)
+        victim = victim->lruPrev;
     if (!victim)
         return false;
+    lruUnlink(*victim);
     // Destroy in reverse construction order; the light half of the
     // DeviceState (DRBG, pool, enrollments, memo) stays untouched.
     // The next life starts from pristine silicon.
@@ -186,7 +203,9 @@ Shard::resolveDevice(std::uint32_t id)
     DeviceState &dev = registry_[id];
     dev.lastUsedTick = ++opTick_;
     dev.lastBatch = batchEpoch_;
-    if (!dev.resident) {
+    if (dev.resident) {
+        lruUnlink(dev);
+    } else {
         while (resident_ >= cfg_.maxResidentDevices && evictOne()) {
         }
         dev.id = id;
@@ -195,6 +214,7 @@ Shard::resolveDevice(std::uint32_t id)
         telemetry::count(counters().deviceFaults);
         faultsPub_.fetch_add(1, std::memory_order_relaxed);
     }
+    lruPushFront(dev);
     publishRegistry();
     return &dev;
 }

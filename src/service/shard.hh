@@ -278,6 +278,8 @@ class Shard
         bool resident = false;          //!< counted against the cap
         std::uint64_t lastUsedTick = 0; //!< LRU stamp
         std::uint64_t lastBatch = 0;    //!< eviction guard (in-batch)
+        /** Neighbours in the resident list (hotter, colder). */
+        DeviceState *lruPrev = nullptr, *lruNext = nullptr;
 
         bool built() const { return chip != nullptr; }
     };
@@ -317,6 +319,11 @@ class Shard
      */
     bool reclaimDeeperNodes(bool evicted_only);
     bool evictOne();
+    /** @name The resident list, hottest first */
+    /// @{
+    void lruUnlink(DeviceState &dev);
+    void lruPushFront(DeviceState &dev);
+    /// @}
     void publishRegistry();
     void refillPool(DeviceState &dev, std::size_t need_bytes);
     void reseed(DeviceState &dev);
@@ -333,6 +340,11 @@ class Shard
     /** The pre-fleet device: serves id-less requests, never evicted. */
     DeviceState default_;
     std::unordered_map<std::uint32_t, DeviceState> registry_;
+    /**
+     * Resident registry devices by lastUsedTick, newest first. The
+     * map's nodes never move, so the links stay valid.
+     */
+    DeviceState *lruHead_ = nullptr, *lruTail_ = nullptr;
     std::size_t resident_ = 0; //!< resident registry entries
     std::size_t enrolledTotal_ = 0; //!< references across all devices
     std::size_t memoNodes_ = 0;     //!< memo nodes across all devices

@@ -315,6 +315,67 @@ TEST(FleetShard, EvictsLeastRecentlyUsedUnderPressure)
     shard.drainAndStop();
 }
 
+TEST(FleetShard, EvictionOrderMatchesLeastRecentlyUsed)
+{
+    // Two resident devices, one request per batch: A, B, C, B, A, C.
+    // Least recently used eviction drops A for C, then C for A (B was
+    // touched after C), then B for C; the faults after each request
+    // pin those choices (evicting the most recently used device
+    // instead faults on the second B).
+    service::ShardConfig cfg = smallShardConfig();
+    cfg.maxResidentDevices = 2;
+    const auto dev = [](std::uint32_t c) {
+        return fleet::makeDeviceId(sim::DramGroup::B, c);
+    };
+    {
+        service::Shard shard(0, cfg);
+        shard.start();
+        CaptureSink sink;
+        std::uint64_t token = 0;
+        const std::uint32_t seq[] = {0, 1, 2, 1, 0, 2};
+        const std::uint64_t faults[] = {1, 2, 3, 3, 4, 5};
+        for (std::size_t i = 0; i < std::size(seq); ++i) {
+            SCOPED_TRACE("request " + std::to_string(i));
+            const auto resp = ask(shard, sink, ++token,
+                                  entropyFor(dev(seq[i]), 8));
+            EXPECT_EQ(resp.status, service::Status::Ok);
+            EXPECT_EQ(shard.deviceFaults(), faults[i]);
+            EXPECT_EQ(shard.residentDevices(), std::min<std::size_t>(
+                                                   faults[i], 2));
+        }
+        EXPECT_EQ(shard.deviceEvictions(), 3u);
+        shard.drainAndStop();
+    }
+    {
+        // Jobs queued before the worker starts form one batch. Every
+        // resident device is part of it, so the guard finds no victim
+        // and the cap overshoots until the next batch evicts the two
+        // least recently used devices.
+        service::Shard shard(0, cfg);
+        CaptureSink sink;
+        for (std::uint32_t c = 0; c < 3; ++c) {
+            service::Job job;
+            job.req = entropyFor(dev(c), 8);
+            job.sink = &sink;
+            job.token = c + 1;
+            ASSERT_TRUE(shard.submit(std::move(job)));
+        }
+        shard.start();
+        for (std::uint64_t t = 1; t <= 3; ++t)
+            EXPECT_EQ(sink.wait(t).status, service::Status::Ok);
+        EXPECT_EQ(shard.deviceFaults(), 3u);
+        EXPECT_EQ(shard.residentDevices(), 3u);
+        EXPECT_EQ(shard.deviceEvictions(), 0u);
+        ask(shard, sink, 4, entropyFor(dev(3), 8));
+        EXPECT_EQ(shard.deviceEvictions(), 2u);
+        EXPECT_EQ(shard.residentDevices(), 2u);
+        // The newest of the batch stayed resident.
+        ask(shard, sink, 5, entropyFor(dev(2), 8));
+        EXPECT_EQ(shard.deviceFaults(), 4u);
+        shard.drainAndStop();
+    }
+}
+
 TEST(FleetShard, RefaultedDeviceIsBitIdentical)
 {
     // Golden-digest property: a PUF reference enrolled on a device,
