@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -158,8 +159,10 @@ TEST(VariationMap, SaOffsetPassMatchesPerColumnOffsets)
     for (const DramGroup g : groups) {
         const VariationMap map(vendorProfile(g), 1234);
         for (const BankAddr bank : {BankAddr{0}, BankAddr{5}}) {
+            std::vector<std::uint32_t> cols(kCols);
+            std::iota(cols.begin(), cols.end(), 0u);
             std::vector<double> pass(kCols);
-            map.materializeSaOffsets(bank, kCols, pass.data());
+            map.materializeSaOffsets(bank, cols, pass.data());
             for (ColAddr c = 0; c < kCols; ++c) {
                 const double one = map.saOffset(bank, c);
                 ASSERT_EQ(std::memcmp(&pass[c], &one, sizeof one), 0)
