@@ -40,7 +40,7 @@ constexpr double kCb = 4.0;
 struct RowFixture
 {
     explicit RowFixture(std::size_t n)
-        : volts(n), alpha(n), coupling(n), fracOff(n), sa(n), dec(n),
+        : volts(n), alpha(n), coupling(n), fracOff(n), dec(n),
           num(n), den(n), eq(n), noise(n), mul(n),
           words((n + 63) / 64)
     {
@@ -50,7 +50,6 @@ struct RowFixture
             alpha[i] = static_cast<float>(rng.uniform(0.05, 0.95));
             coupling[i] = static_cast<float>(rng.uniform(0.8, 1.2));
             fracOff[i] = static_cast<float>(rng.uniform(-0.01, 0.01));
-            sa[i] = static_cast<float>(rng.uniform(-0.005, 0.005));
             noise[i] = rng.uniform(-0.01, 0.01);
             mul[i] = rng.uniform(0.99, 1.0);
             num[i] = kCb * kHalf;
@@ -61,7 +60,7 @@ struct RowFixture
     }
 
     // Aligned like the Bank scratch the kernels really run on.
-    simd::AlignedVector<float> volts, alpha, coupling, fracOff, sa;
+    simd::AlignedVector<float> volts, alpha, coupling, fracOff;
     simd::AlignedVector<std::uint8_t> dec;
     simd::AlignedVector<double> num, den, eq, noise, mul;
     simd::AlignedVector<std::uint64_t> words;
@@ -111,37 +110,12 @@ BM_equilibrium(benchmark::State &state)
 }
 
 void
-BM_senseDecide(benchmark::State &state)
-{
-    RowFixture f(state.range(0));
-    for (auto _ : state) {
-        kernels::senseDecide(f.dec.data(), f.eq.data(), f.sa.data(),
-                             f.noise.data(), kHalf, f.dec.size());
-        benchmark::DoNotOptimize(f.dec.data());
-    }
-    state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-
-void
 BM_driveRails(benchmark::State &state)
 {
     RowFixture f(state.range(0));
     for (auto _ : state) {
         kernels::driveRails(f.volts.data(), f.dec.data(),
                             static_cast<float>(kVdd), f.volts.size());
-        benchmark::DoNotOptimize(f.volts.data());
-    }
-    state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-
-void
-BM_settleToward(benchmark::State &state)
-{
-    RowFixture f(state.range(0));
-    for (auto _ : state) {
-        kernels::settleToward(f.volts.data(), f.alpha.data(),
-                              f.eq.data(), f.fracOff.data(),
-                              f.volts.size());
         benchmark::DoNotOptimize(f.volts.data());
     }
     state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -289,9 +263,7 @@ BM_materialize(benchmark::State &state)
 BENCHMARK(BM_decayMultiply)->Apply(rowArgs);
 BENCHMARK(BM_chargeAccumulate)->Apply(rowArgs);
 BENCHMARK(BM_equilibrium)->Apply(rowArgs);
-BENCHMARK(BM_senseDecide)->Apply(rowArgs);
 BENCHMARK(BM_driveRails)->Apply(rowArgs);
-BENCHMARK(BM_settleToward)->Apply(rowArgs);
 BENCHMARK(BM_fracSettle)->Apply(rowArgs);
 BENCHMARK(BM_restoreTruncate)->Apply(rowArgs);
 BENCHMARK(BM_fillFromBits)->Apply(rowArgs);

@@ -130,17 +130,8 @@ void
 Sha256::hashSingleBlocks(const std::uint8_t *blocks, std::size_t n,
                          Digest *out)
 {
-    std::size_t i = 0;
-#if FRACDRAM_HAVE_AVX2
-    // Independent messages: eight at a time through the transposed
-    // AVX2 schedule (worth more than SHA-NI's serial 8x).
-    if (simd::activeIsa() >= simd::Isa::Avx2)
-        for (; i + 8 <= n; i += 8)
-            sha256_detail::hashSingleBlocks8Avx2(blocks + 64 * i,
-                                                 out[i].data());
-#endif
     const auto compress = sha256_detail::activeCompress();
-    for (; i < n; ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
         std::uint32_t st[8];
         std::memcpy(st, kSha256Iv, sizeof(st));
         compress(st, blocks + 64 * i);

@@ -52,11 +52,11 @@ class Sha256
     /**
      * Hash @p n independent 64-byte blocks, each a complete
      * pre-padded final block (message, 0x80, zero pad, big-endian
-     * bit length), into @p out[0..n). Equivalent to running each
-     * block through one compress from the IV - which is exactly what
+     * bit length), into @p out[0..n): each block through one
+     * compress from the IV, which is exactly what
      * Sha256().update(msg).finish() does for messages of at most 55
-     * bytes - but dispatched to the multi-way SIMD tier when one is
-     * active. The DRBG's counter-mode blocks all have this shape.
+     * bytes, without the buffering. The DRBG's counter-mode blocks
+     * all have this shape.
      */
     static void hashSingleBlocks(const std::uint8_t *blocks,
                                  std::size_t n, Digest *out);

@@ -1,15 +1,14 @@
 /**
  * @file
- * Internal SHA-256 compression tiers behind common/sha256.hh.
+ * Internal SHA-256 compression paths behind common/sha256.hh.
  *
- * Three implementations of the FIPS 180-4 compression function live
- * in separate TUs: the portable scalar rounds (sha256.cc), a SHA-NI
- * single-stream compress (sha256_shani.cc), and an 8-way transposed
- * AVX2 hash of independent pre-padded single blocks (sha256_avx2.cc,
- * used by the DRBG whose counter-mode blocks are all 40-byte messages
- * hashed from the IV). All are integer-only, so tier selection is
- * trivially bit-exact; selection follows simd::activeIsa() /
- * simd::shaNiActive().
+ * Two implementations of the FIPS 180-4 compression function live
+ * in separate TUs: the portable scalar rounds (sha256.cc) and a
+ * SHA-NI compress (sha256_shani.cc). Both are integer-only, so the
+ * choice is trivially bit-exact; it follows simd::shaNiActive().
+ * Every caller, the DRBG's batches of single blocks included, hashes
+ * one block at a time through activeCompress(). On an AVX2 host
+ * without SHA-NI that means the scalar rounds (DESIGN.md 5h).
  *
  * Internal to common/ and the SHA equivalence tests; everything else
  * uses the Sha256 class.
@@ -18,13 +17,12 @@
 #ifndef FRACDRAM_COMMON_SHA256_COMPRESS_HH
 #define FRACDRAM_COMMON_SHA256_COMPRESS_HH
 
-#include <cstddef>
 #include <cstdint>
 
 namespace fracdram::sha256_detail
 {
 
-/** FIPS 180-4 round constants, shared by every tier. */
+/** FIPS 180-4 round constants, shared by both paths. */
 extern const std::uint32_t kSha256Round[64];
 
 /** One 64-byte block through the compression function. */
@@ -37,16 +35,6 @@ void compressScalar(std::uint32_t state[8], const std::uint8_t *block);
 #if FRACDRAM_HAVE_SHANI
 /** SHA-NI compress (sha256_shani.cc). */
 void compressShani(std::uint32_t state[8], const std::uint8_t *block);
-#endif
-
-#if FRACDRAM_HAVE_AVX2
-/**
- * Hash eight independent pre-padded 64-byte final blocks from the
- * SHA-256 IV in one transposed pass: @p digests receives eight
- * big-endian 32-byte digests. (sha256_avx2.cc)
- */
-void hashSingleBlocks8Avx2(const std::uint8_t *blocks,
-                           std::uint8_t *digests);
 #endif
 
 /**

@@ -2,8 +2,8 @@
  * @file
  * Runtime ISA selection for the SIMD kernel layer.
  *
- * Every vectorized path in the tree (sim/kernels_*.cc and the SHA-256
- * compress/multi-way TUs) is selected
+ * Every vectorized path in the tree (sim/kernels_avx2.cc and the
+ * SHA-NI compress, common/sha256_shani.cc) is selected
  * through one process-wide resolution: cpuid feature detection,
  * clamped by what the build compiled (FRACDRAM_HAVE_* macros) and by
  * the FRACDRAM_ISA environment override. The resolution happens once,
@@ -11,7 +11,8 @@
  * cheap enough that dispatch sites just call activeIsa().
  *
  * There are two tiers, scalar and AVX2+BMI2; SHA-NI rides on the
- * AVX2 tier for the DRBG. FRACDRAM_ISA=scalar|avx2 forces a tier for
+ * AVX2 tier, and without it SHA-256 runs the scalar rounds on an AVX2
+ * host too. FRACDRAM_ISA=scalar|avx2 forces a tier for
  * testing and benching; asking for more than the machine (or the
  * build) supports clamps down with a warning, and any other value
  * warns and resolves to the best tier. "scalar" disables

@@ -668,11 +668,10 @@ Shard::refillPool(DeviceState &dev, std::size_t need_bytes)
                        static_cast<std::ptrdiff_t>(dev.poolPos));
     dev.poolPos = 0;
     // Each DRBG output block is SHA256(key || counter_le): a 40-byte
-    // message, i.e. exactly one pre-padded compression block. The
-    // blocks are independent, so they batch through the multi-way
-    // SHA tier; a batch never crosses the reseed boundary, keeping
-    // the byte stream and reseed schedule identical to the one-by-one
-    // loop this replaces.
+    // message, i.e. exactly one pre-padded compression block, so a
+    // batch skips Sha256's buffering and padding. A batch never
+    // crosses the reseed boundary, keeping the byte stream and
+    // reseed schedule identical to the one-by-one loop this replaces.
     constexpr std::size_t kBatch = 32;
     std::uint8_t msgs[kBatch * 64];
     Sha256::Digest out[kBatch];

@@ -5,12 +5,14 @@
  * function-local static (thread-safe under C++ magic-static rules -
  * the tsan suite exercises first-touch from multiple shard threads);
  * after that each call is a load plus an indirect jump, irrelevant at
- * row-wide granularity.
+ * row-wide granularity. The kernels with only a scalar body
+ * (decayMultiply, senseDecide, settleToward, fracSettle,
+ * restoreTruncate) call it directly; DESIGN.md 5h says why.
  */
 
 #include "sim/kernels.hh"
 
-#include "sim/kernels_dispatch.hh"
+#include "sim/kernels_scalar.hh"
 
 namespace fracdram::sim::kernels
 {
@@ -42,7 +44,7 @@ activeKernelTable()
 void
 decayMultiply(float *volts, const double *mul, std::size_t n)
 {
-    activeKernelTable().decayMultiply(volts, mul, n);
+    scalar::decayMultiply(volts, mul, n);
 }
 
 void
@@ -64,7 +66,7 @@ void
 senseDecide(std::uint8_t *dec, const double *eq, const float *sa,
             const double *noise, double half, std::size_t n)
 {
-    activeKernelTable().senseDecide(dec, eq, sa, noise, half, n);
+    scalar::senseDecide(dec, eq, sa, noise, half, n);
 }
 
 void
@@ -78,7 +80,7 @@ void
 settleToward(float *volts, const float *alpha, const double *veq,
              const float *off, std::size_t n)
 {
-    activeKernelTable().settleToward(volts, alpha, veq, off, n);
+    scalar::settleToward(volts, alpha, veq, off, n);
 }
 
 void
@@ -86,14 +88,14 @@ fracSettle(float *volts, const float *alpha, const float *coupling,
            const float *off, const double *noise, double weight,
            double base_num, double base_den, std::size_t n)
 {
-    activeKernelTable().fracSettle(volts, alpha, coupling, off, noise,
-                                   weight, base_num, base_den, n);
+    scalar::fracSettle(volts, alpha, coupling, off, noise, weight,
+                       base_num, base_den, n);
 }
 
 void
 restoreTruncate(float *volts, double half, double r, std::size_t n)
 {
-    activeKernelTable().restoreTruncate(volts, half, r, n);
+    scalar::restoreTruncate(volts, half, r, n);
 }
 
 void

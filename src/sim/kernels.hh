@@ -48,6 +48,8 @@ void equilibrium(double *eq, const double *num, const double *den,
 
 /**
  * Sense-amp decision: dec[i] = (eq[i] - half) > sa[i] + noise[i].
+ * The bank decides through its bounded readout, so nothing in the
+ * program calls this; it stays as a timed reference.
  */
 void senseDecide(std::uint8_t *dec, const double *eq, const float *sa,
                  const double *noise, double half, std::size_t n);
@@ -60,7 +62,9 @@ void driveRails(float *volts, const std::uint8_t *dec, float vdd,
  * Interrupted-close settling (single-row, sense amp never engaged):
  *   target = veq[i] + off[i];
  *   volts[i] = float(volts[i] + alpha[i] * (target - volts[i])).
- * veq[i] already contains the per-cell noise term.
+ * veq[i] already contains the per-cell noise term. No caller in the
+ * program (fracSettle fuses it); kept as a timed reference like
+ * senseDecide.
  */
 void settleToward(float *volts, const float *alpha, const double *veq,
                   const float *off, std::size_t n);

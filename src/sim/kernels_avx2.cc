@@ -16,8 +16,6 @@
 
 #include <immintrin.h>
 
-#include <cstring>
-
 #include "sim/kernels_scalar.hh"
 
 namespace fracdram::sim::kernels
@@ -25,20 +23,6 @@ namespace fracdram::sim::kernels
 
 namespace
 {
-
-void
-decayMultiplyAvx2(float *volts, const double *mul, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256d v =
-            _mm256_cvtps_pd(_mm_loadu_ps(volts + i));
-        const __m256d m = _mm256_loadu_pd(mul + i);
-        _mm_storeu_ps(volts + i,
-                      _mm256_cvtpd_ps(_mm256_mul_pd(v, m)));
-    }
-    scalar::decayMultiply(volts + i, mul + i, n - i);
-}
 
 void
 chargeAccumulateAvx2(double *num, double *den, const float *volts,
@@ -75,39 +59,6 @@ equilibriumAvx2(double *eq, const double *num, const double *den,
     scalar::equilibrium(eq + i, num + i, den + i, n - i);
 }
 
-void
-senseDecideAvx2(std::uint8_t *dec, const double *eq, const float *sa,
-                const double *noise, double half, std::size_t n)
-{
-    const __m256d halfv = _mm256_set1_pd(half);
-    std::size_t i = 0;
-    // 16 decisions per iteration: four 4-lane compares merged into
-    // one 16-bit mask, expanded to 0/1 bytes with pdep.
-    for (; i + 16 <= n; i += 16) {
-        unsigned mask = 0;
-        for (std::size_t g = 0; g < 4; ++g) {
-            const std::size_t j = i + 4 * g;
-            const __m256d lhs =
-                _mm256_sub_pd(_mm256_loadu_pd(eq + j), halfv);
-            const __m256d rhs =
-                _mm256_add_pd(_mm256_cvtps_pd(_mm_loadu_ps(sa + j)),
-                              _mm256_loadu_pd(noise + j));
-            const __m256d gt =
-                _mm256_cmp_pd(lhs, rhs, _CMP_GT_OQ);
-            mask |= static_cast<unsigned>(_mm256_movemask_pd(gt))
-                    << (4 * g);
-        }
-        const std::uint64_t lo =
-            _pdep_u64(mask & 0xff, 0x0101010101010101ULL);
-        const std::uint64_t hi =
-            _pdep_u64(mask >> 8, 0x0101010101010101ULL);
-        std::memcpy(dec + i, &lo, 8);
-        std::memcpy(dec + i + 8, &hi, 8);
-    }
-    scalar::senseDecide(dec + i, eq + i, sa + i, noise + i, half,
-                        n - i);
-}
-
 /** 8 bytes of 0/nonzero decisions -> 8 float lanes of vdd/0. */
 inline __m256
 railsFromBytes(const std::uint8_t *dec, __m256 vddv)
@@ -129,77 +80,6 @@ driveRailsAvx2(float *volts, const std::uint8_t *dec, float vdd,
     for (; i + 8 <= n; i += 8)
         _mm256_storeu_ps(volts + i, railsFromBytes(dec + i, vddv));
     scalar::driveRails(volts + i, dec + i, vdd, n - i);
-}
-
-void
-settleTowardAvx2(float *volts, const float *alpha, const double *veq,
-                 const float *off, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256d a =
-            _mm256_cvtps_pd(_mm_loadu_ps(alpha + i));
-        const __m256d v =
-            _mm256_cvtps_pd(_mm_loadu_ps(volts + i));
-        const __m256d target = _mm256_add_pd(
-            _mm256_loadu_pd(veq + i),
-            _mm256_cvtps_pd(_mm_loadu_ps(off + i)));
-        const __m256d out = _mm256_add_pd(
-            v, _mm256_mul_pd(a, _mm256_sub_pd(target, v)));
-        _mm_storeu_ps(volts + i, _mm256_cvtpd_ps(out));
-    }
-    scalar::settleToward(volts + i, alpha + i, veq + i, off + i,
-                         n - i);
-}
-
-void
-fracSettleAvx2(float *volts, const float *alpha, const float *coupling,
-               const float *off, const double *noise, double weight,
-               double base_num, double base_den, std::size_t n)
-{
-    const __m256d wt = _mm256_set1_pd(weight);
-    const __m256d bnum = _mm256_set1_pd(base_num);
-    const __m256d bden = _mm256_set1_pd(base_den);
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256d c =
-            _mm256_cvtps_pd(_mm_loadu_ps(coupling + i));
-        const __m256d v =
-            _mm256_cvtps_pd(_mm_loadu_ps(volts + i));
-        const __m256d w = _mm256_mul_pd(wt, c);
-        const __m256d num =
-            _mm256_add_pd(bnum, _mm256_mul_pd(w, v));
-        const __m256d den = _mm256_add_pd(bden, w);
-        const __m256d eq = _mm256_add_pd(_mm256_div_pd(num, den),
-                                         _mm256_loadu_pd(noise + i));
-        const __m256d a =
-            _mm256_cvtps_pd(_mm_loadu_ps(alpha + i));
-        const __m256d target = _mm256_add_pd(
-            eq, _mm256_cvtps_pd(_mm_loadu_ps(off + i)));
-        const __m256d out = _mm256_add_pd(
-            v, _mm256_mul_pd(a, _mm256_sub_pd(target, v)));
-        _mm_storeu_ps(volts + i, _mm256_cvtpd_ps(out));
-    }
-    scalar::fracSettle(volts + i, alpha + i, coupling + i, off + i,
-                       noise + i, weight, base_num, base_den, n - i);
-}
-
-void
-restoreTruncateAvx2(float *volts, double half, double r,
-                    std::size_t n)
-{
-    const __m256d halfv = _mm256_set1_pd(half);
-    const __m256d rv = _mm256_set1_pd(r);
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256d v =
-            _mm256_cvtps_pd(_mm_loadu_ps(volts + i));
-        const __m256d out = _mm256_add_pd(
-            halfv,
-            _mm256_mul_pd(_mm256_sub_pd(v, halfv), rv));
-        _mm_storeu_ps(volts + i, _mm256_cvtpd_ps(out));
-    }
-    scalar::restoreTruncate(volts + i, half, r, n - i);
 }
 
 void
@@ -262,11 +142,8 @@ const KernelTable &
 avx2KernelTable()
 {
     static const KernelTable table = {
-        decayMultiplyAvx2,   chargeAccumulateAvx2,
-        equilibriumAvx2,     senseDecideAvx2,
-        driveRailsAvx2,      settleTowardAvx2,
-        fracSettleAvx2,      restoreTruncateAvx2,
-        fillFromBitsAvx2,    packDecisionsAvx2,
+        chargeAccumulateAvx2, equilibriumAvx2, driveRailsAvx2,
+        fillFromBitsAvx2,     packDecisionsAvx2,
     };
     return table;
 }

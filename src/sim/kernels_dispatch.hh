@@ -4,11 +4,11 @@
  *
  * Each compiled tier (kernels_scalar.cc, kernels_avx2.cc) exposes
  * one immutable KernelTable; kernels.cc resolves the active table
- * once (simd::activeIsa()) and forwards every public kernel through
- * it. The AVX2 TU implements only the full-width main loops and
- * delegates its tails to the scalar table, so each element is
- * computed by exactly one expression sequence no matter which tier
- * runs.
+ * once (simd::activeIsa()) and forwards every public kernel that
+ * has an AVX2 body through it. The AVX2 TU implements only the
+ * full-width main loops and delegates its tails to the scalar table,
+ * so each element is computed by exactly one expression sequence no
+ * matter which tier runs.
  *
  * This header is internal to sim/ and the ISA-equivalence tests;
  * everything else calls the plain functions in kernels.hh.
@@ -25,31 +25,16 @@
 namespace fracdram::sim::kernels
 {
 
-/** One tier's implementation of every columnar kernel. */
+/** One tier's implementation of every kernel with a vector body. */
 struct KernelTable
 {
-    void (*decayMultiply)(float *volts, const double *mul,
-                          std::size_t n);
     void (*chargeAccumulate)(double *num, double *den,
                              const float *volts, const float *coupling,
                              double weight, std::size_t n);
     void (*equilibrium)(double *eq, const double *num,
                         const double *den, std::size_t n);
-    void (*senseDecide)(std::uint8_t *dec, const double *eq,
-                        const float *sa, const double *noise,
-                        double half, std::size_t n);
     void (*driveRails)(float *volts, const std::uint8_t *dec,
                        float vdd, std::size_t n);
-    void (*settleToward)(float *volts, const float *alpha,
-                         const double *veq, const float *off,
-                         std::size_t n);
-    void (*fracSettle)(float *volts, const float *alpha,
-                       const float *coupling, const float *off,
-                       const double *noise, double weight,
-                       double base_num, double base_den,
-                       std::size_t n);
-    void (*restoreTruncate)(float *volts, double half, double r,
-                            std::size_t n);
     void (*fillFromBits)(float *volts, const std::uint64_t *words,
                          bool invert, float vdd, std::size_t n);
     void (*packDecisions)(std::uint64_t *words,

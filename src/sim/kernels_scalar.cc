@@ -179,11 +179,8 @@ const KernelTable &
 scalarKernelTable()
 {
     static const KernelTable table = {
-        scalar::decayMultiply,   scalar::chargeAccumulate,
-        scalar::equilibrium,     scalar::senseDecide,
-        scalar::driveRails,      scalar::settleToward,
-        scalar::fracSettle,      scalar::restoreTruncate,
-        scalar::fillFromBits,    scalar::packDecisions,
+        scalar::chargeAccumulate, scalar::equilibrium, scalar::driveRails,
+        scalar::fillFromBits,     scalar::packDecisions,
     };
     return table;
 }

@@ -4,6 +4,8 @@
  * tiers for their tail elements (and by the equivalence tests as the
  * reference). Signatures mirror kernels.hh exactly. fracSettleOne and
  * fracSettleBounds have no vector tier: the bank calls them directly.
+ * Nor do decayMultiply, senseDecide, settleToward, fracSettle and
+ * restoreTruncate: their kernels.hh entry points call them directly.
  */
 
 #ifndef FRACDRAM_SIM_KERNELS_SCALAR_HH

@@ -100,6 +100,14 @@ TEST(Cli, DecoderReportsModel)
     EXPECT_NE(out.find("three-row sets      yes"), std::string::npos);
 }
 
+TEST(Cli, MalformedIntegerFlagFails)
+{
+    // The whole value must be an integer: "3x" is not 3.
+    const auto [code, out] = runCli("puf --fracs 3x");
+    EXPECT_NE(code, 0);
+    EXPECT_EQ(out.find("intra-HD"), std::string::npos);
+}
+
 TEST(Cli, UnknownCommandUsage)
 {
     const auto [code, out] = runCli("bogus");

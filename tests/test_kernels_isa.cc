@@ -3,7 +3,7 @@
  * ISA-equivalence property tests for the dispatched columnar
  * kernels: the AVX2 tier, when this binary compiled it and
  * this machine can run it, must produce bit-identical output to the
- * scalar reference, for every kernel, over random inputs at sizes
+ * scalar reference, for every KernelTable slot, over random inputs at sizes
  * covering every vector tail length (n % 16 in [0, 15]) plus
  * word-boundary and row-sized cases. This is the contract that lets
  * the golden-digest suite hold regardless of FRACDRAM_ISA (see
@@ -68,14 +68,8 @@ class Inputs
     {
         volts = floats(n, 0.0f, 1.0f);
         coupling = floats(n, 0.0f, 0.2f);
-        alpha = floats(n, 0.01f, 0.99f);
-        off = floats(n, -0.05f, 0.05f);
-        sa = floats(n, -0.1f, 0.1f);
         num = doubles(n, 0.0, 1.0);
         den = doubles(n, 0.5, 2.0);
-        eq = doubles(n, 0.0, 1.0);
-        noise = doubles(n, -0.1, 0.1);
-        mul = doubles(n, 0.9, 1.0);
         dec.resize(n);
         words.resize((n + 63) / 64);
         for (auto &d : dec)
@@ -84,8 +78,8 @@ class Inputs
             w = gen_();
     }
 
-    std::vector<float> volts, coupling, alpha, off, sa;
-    std::vector<double> num, den, eq, noise, mul;
+    std::vector<float> volts, coupling;
+    std::vector<double> num, den;
     std::vector<std::uint8_t> dec;
     std::vector<std::uint64_t> words;
 
@@ -140,21 +134,6 @@ TEST(KernelsIsaTest, TiersReported)
     SUCCEED();
 }
 
-TEST(KernelsIsaTest, DecayMultiply)
-{
-    const KernelTable &ref = scalarKernelTable();
-    for (const auto &tier : vectorTiers())
-        for (const std::size_t n : testSizes()) {
-            Inputs in(n * 2 + 1, n);
-            auto got = in.volts;
-            auto want = in.volts;
-            tier.table->decayMultiply(got.data(), in.mul.data(), n);
-            ref.decayMultiply(want.data(), in.mul.data(), n);
-            EXPECT_TRUE(bitIdentical(got, want))
-                << tier.name << " n=" << n;
-        }
-}
-
 TEST(KernelsIsaTest, ChargeAccumulate)
 {
     const KernelTable &ref = scalarKernelTable();
@@ -192,23 +171,6 @@ TEST(KernelsIsaTest, Equilibrium)
         }
 }
 
-TEST(KernelsIsaTest, SenseDecide)
-{
-    const KernelTable &ref = scalarKernelTable();
-    for (const auto &tier : vectorTiers())
-        for (const std::size_t n : testSizes()) {
-            Inputs in(n * 7 + 1, n);
-            std::vector<std::uint8_t> got(n, 0xcc), want(n, 0xcc);
-            tier.table->senseDecide(got.data(), in.eq.data(),
-                                    in.sa.data(), in.noise.data(), 0.5,
-                                    n);
-            ref.senseDecide(want.data(), in.eq.data(), in.sa.data(),
-                            in.noise.data(), 0.5, n);
-            EXPECT_TRUE(bitIdentical(got, want))
-                << tier.name << " n=" << n;
-        }
-}
-
 TEST(KernelsIsaTest, DriveRails)
 {
     const KernelTable &ref = scalarKernelTable();
@@ -219,57 +181,6 @@ TEST(KernelsIsaTest, DriveRails)
             auto want = in.volts;
             tier.table->driveRails(got.data(), in.dec.data(), 1.1f, n);
             ref.driveRails(want.data(), in.dec.data(), 1.1f, n);
-            EXPECT_TRUE(bitIdentical(got, want))
-                << tier.name << " n=" << n;
-        }
-}
-
-TEST(KernelsIsaTest, SettleToward)
-{
-    const KernelTable &ref = scalarKernelTable();
-    for (const auto &tier : vectorTiers())
-        for (const std::size_t n : testSizes()) {
-            Inputs in(n * 13 + 1, n);
-            auto got = in.volts;
-            auto want = in.volts;
-            tier.table->settleToward(got.data(), in.alpha.data(),
-                                     in.eq.data(), in.off.data(), n);
-            ref.settleToward(want.data(), in.alpha.data(),
-                             in.eq.data(), in.off.data(), n);
-            EXPECT_TRUE(bitIdentical(got, want))
-                << tier.name << " n=" << n;
-        }
-}
-
-TEST(KernelsIsaTest, FracSettle)
-{
-    const KernelTable &ref = scalarKernelTable();
-    for (const auto &tier : vectorTiers())
-        for (const std::size_t n : testSizes()) {
-            Inputs in(n * 17 + 1, n);
-            auto got = in.volts;
-            auto want = in.volts;
-            tier.table->fracSettle(got.data(), in.alpha.data(),
-                                   in.coupling.data(), in.off.data(),
-                                   in.noise.data(), 0.41, 0.3, 0.7, n);
-            ref.fracSettle(want.data(), in.alpha.data(),
-                           in.coupling.data(), in.off.data(),
-                           in.noise.data(), 0.41, 0.3, 0.7, n);
-            EXPECT_TRUE(bitIdentical(got, want))
-                << tier.name << " n=" << n;
-        }
-}
-
-TEST(KernelsIsaTest, RestoreTruncate)
-{
-    const KernelTable &ref = scalarKernelTable();
-    for (const auto &tier : vectorTiers())
-        for (const std::size_t n : testSizes()) {
-            Inputs in(n * 19 + 1, n);
-            auto got = in.volts;
-            auto want = in.volts;
-            tier.table->restoreTruncate(got.data(), 0.55, 0.93, n);
-            ref.restoreTruncate(want.data(), 0.55, 0.93, n);
             EXPECT_TRUE(bitIdentical(got, want))
                 << tier.name << " n=" << n;
         }
@@ -334,9 +245,9 @@ TEST(KernelsIsaTest, PublicEntryPointsUseActiveTable)
     // (one indirection, resolved once).
     const KernelTable &active = activeKernelTable();
     Inputs in(99, 256);
-    auto via_public = in.volts;
-    auto via_table = in.volts;
-    decayMultiply(via_public.data(), in.mul.data(), 256);
-    active.decayMultiply(via_table.data(), in.mul.data(), 256);
+    std::vector<double> via_public(256), via_table(256);
+    equilibrium(via_public.data(), in.num.data(), in.den.data(), 256);
+    active.equilibrium(via_table.data(), in.num.data(), in.den.data(),
+                       256);
     EXPECT_TRUE(bitIdentical(via_public, via_table));
 }

@@ -1,7 +1,8 @@
 /**
  * @file
  * Known-answer tests for the from-scratch SHA-256 (FIPS 180-4
- * vectors).
+ * vectors), and the SHA-NI compress checked against the scalar
+ * rounds.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,8 @@
 #include <vector>
 
 #include "common/sha256.hh"
+#include "common/sha256_compress.hh"
+#include "common/simd/simd.hh"
 
 using namespace fracdram;
 
@@ -123,9 +126,10 @@ padSingleBlock(const std::uint8_t *msg, std::size_t len,
 
 TEST(Sha256Test, HashSingleBlocksMatchesIncremental)
 {
-    // Batch sizes straddling the 8-way SIMD group width, message
-    // lengths covering the whole single-block range. Every digest
-    // must equal the ordinary incremental hash of the same message.
+    // Batch sizes from 1 to one past the DRBG's 32-block refill,
+    // message lengths covering the whole single-block range. Every
+    // digest must equal the ordinary incremental hash of the same
+    // message.
     std::mt19937_64 gen(0xb10cb10cULL);
     for (const std::size_t n :
          {std::size_t{1}, std::size_t{3}, std::size_t{7},
@@ -166,4 +170,30 @@ TEST(Sha256Test, HashSingleBlocksDrbgShape)
     Sha256::hashSingleBlocks(block, 1, &out);
     EXPECT_EQ(Sha256::toHex(out),
               Sha256::toHex(Sha256::hash(msg, sizeof(msg))));
+}
+
+TEST(Sha256Test, ShaNiCompressMatchesScalar)
+{
+    // Random chaining states, not just the IV, and random blocks: the
+    // two compress paths must leave bit-identical states.
+#if FRACDRAM_HAVE_SHANI
+    if (!simd::cpuFeatures().shaNi)
+        GTEST_SKIP() << "this CPU has no SHA-NI";
+    std::mt19937_64 gen(0x5a5a5a5aULL);
+    for (int trial = 0; trial < 1000; ++trial) {
+        std::uint32_t scalar[8], shani[8];
+        for (auto &word : scalar)
+            word = static_cast<std::uint32_t>(gen());
+        std::memcpy(shani, scalar, sizeof(scalar));
+        std::uint8_t block[64];
+        for (auto &byte : block)
+            byte = static_cast<std::uint8_t>(gen());
+        sha256_detail::compressScalar(scalar, block);
+        sha256_detail::compressShani(shani, block);
+        ASSERT_EQ(std::memcmp(scalar, shani, sizeof(scalar)), 0)
+            << "trial " << trial;
+    }
+#else
+    GTEST_SKIP() << "this build has no SHA-NI compress";
+#endif
 }

@@ -24,7 +24,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <set>
 #include <string>
@@ -38,6 +37,7 @@
 #include "core/frac_op.hh"
 #include "core/fracdram.hh"
 #include "core/retention.hh"
+#include "int_flag.hh"
 #include "puf/hamming.hh"
 #include "puf/puf.hh"
 #include "sim/chip.hh"
@@ -83,16 +83,17 @@ parseOptions(int argc, char **argv, int first)
         if (arg == "--group")
             opt.group = parseGroup(next());
         else if (arg == "--serial")
-            opt.serial = std::strtoull(next().c_str(), nullptr, 10);
+            opt.serial = tools::parseIntFlag<std::uint64_t>("--serial",
+                                                           next());
         else if (arg == "--fracs")
-            opt.fracs = std::atoi(next().c_str());
+            opt.fracs = tools::parseIntFlag<int>("--fracs", next(), 0);
         else if (arg == "--challenges")
-            opt.challenges = std::atoi(next().c_str());
+            opt.challenges =
+                tools::parseIntFlag<int>("--challenges", next(), 0);
         else if (arg == "--bits")
-            opt.bits = std::strtoull(next().c_str(), nullptr, 10);
+            opt.bits = tools::parseIntFlag<std::size_t>("--bits", next());
         else if (arg == "--threads")
-            opt.threads = static_cast<unsigned>(
-                std::strtoul(next().c_str(), nullptr, 10));
+            opt.threads = tools::parseIntFlag<unsigned>("--threads", next());
         else if (arg == "--telemetry-out")
             opt.telemetryOut = next();
         else

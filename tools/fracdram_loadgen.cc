@@ -60,6 +60,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "int_flag.hh"
 #include "service/client.hh"
 #include "service/fleet.hh"
 #include "service/proto.hh"
@@ -508,19 +509,18 @@ main(int argc, char **argv)
         if (arg == "--host")
             opt.host = next();
         else if (arg == "--port")
-            opt.port = static_cast<std::uint16_t>(
-                std::strtoul(next().c_str(), nullptr, 10));
+            opt.port = tools::parseIntFlag<std::uint16_t>("--port", next());
         else if (arg == "--conns")
-            opt.conns = std::atoi(next().c_str());
+            opt.conns = tools::parseIntFlag<int>("--conns", next());
         else if (arg == "--window")
-            opt.window = std::atoi(next().c_str());
+            opt.window = tools::parseIntFlag<int>("--window", next());
         else if (arg == "--duration")
             opt.duration = std::atof(next().c_str());
         else if (arg == "--warmup-ms")
-            opt.warmupMs = std::atoi(next().c_str());
+            opt.warmupMs =
+                tools::parseIntFlag<int>("--warmup-ms", next(), 0);
         else if (arg == "--bytes")
-            opt.bytes = static_cast<std::uint32_t>(
-                std::strtoul(next().c_str(), nullptr, 10));
+            opt.bytes = tools::parseIntFlag<std::uint32_t>("--bytes", next());
         else if (arg == "--trace")
             opt.trace = true;
         else if (arg == "--check-health")
@@ -530,15 +530,17 @@ main(int argc, char **argv)
         else if (arg == "--quiet")
             opt.quiet = true;
         else if (arg == "--storm")
-            opt.storm = std::atoi(next().c_str());
+            opt.storm = tools::parseIntFlag<int>("--storm", next(), 0);
         else if (arg == "--ready-file")
             opt.readyFile = next();
         else if (arg == "--scenario")
             opt.scenario = next();
         else if (arg == "--puf-enroll")
-            opt.pufEnroll = std::atoi(next().c_str());
+            opt.pufEnroll =
+                tools::parseIntFlag<int>("--puf-enroll", next(), 0);
         else if (arg == "--puf-verify")
-            opt.pufVerify = std::atoi(next().c_str());
+            opt.pufVerify =
+                tools::parseIntFlag<int>("--puf-verify", next(), 0);
         else
             fatal("unknown option '%s'", arg.c_str());
     }

@@ -36,12 +36,12 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <ctime>
 #include <string>
 
 #include "common/logging.hh"
+#include "int_flag.hh"
 #include "service/router.hh"
 #include "telemetry/report.hh"
 
@@ -69,11 +69,11 @@ parseBackend(const std::string &spec)
              spec.c_str());
     addr.host = spec.substr(0, c1);
     const std::size_t c2 = spec.find(':', c1 + 1);
-    addr.port = static_cast<std::uint16_t>(
-        std::strtoul(spec.c_str() + c1 + 1, nullptr, 10));
+    addr.port = tools::parseIntFlag<std::uint16_t>(
+        "--backend port", spec.substr(c1 + 1, c2 - c1 - 1));
     if (c2 != std::string::npos)
-        addr.metricsPort = static_cast<std::uint16_t>(
-            std::strtoul(spec.c_str() + c2 + 1, nullptr, 10));
+        addr.metricsPort = tools::parseIntFlag<std::uint16_t>(
+            "--backend metricsPort", spec.substr(c2 + 1));
     fatal_if(addr.host.empty() || addr.port == 0,
              "bad --backend '%s' (want host:port[:metricsPort])",
              spec.c_str());
@@ -98,27 +98,31 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--port")
-            cfg.port = static_cast<std::uint16_t>(
-                std::strtoul(next().c_str(), nullptr, 10));
+            cfg.port = tools::parseIntFlag<std::uint16_t>("--port", next());
         else if (arg == "--port-file")
             port_file = next();
         else if (arg == "--backend")
             cfg.backends.push_back(parseBackend(next()));
         else if (arg == "--vnodes")
-            cfg.vnodes = std::atoi(next().c_str());
+            cfg.vnodes = tools::parseIntFlag<int>("--vnodes", next());
         else if (arg == "--probe-interval-ms")
-            cfg.probeIntervalMs = std::atoi(next().c_str());
+            cfg.probeIntervalMs =
+                tools::parseIntFlag<int>("--probe-interval-ms", next());
         else if (arg == "--eject-after")
-            cfg.ejectAfter = std::atoi(next().c_str());
+            cfg.ejectAfter =
+                tools::parseIntFlag<int>("--eject-after", next());
         else if (arg == "--readmit-after")
-            cfg.readmitAfter = std::atoi(next().c_str());
+            cfg.readmitAfter =
+                tools::parseIntFlag<int>("--readmit-after", next());
         else if (arg == "--upstream-timeout-ms")
-            cfg.upstreamTimeoutMs = std::atoi(next().c_str());
+            cfg.upstreamTimeoutMs =
+                tools::parseIntFlag<int>("--upstream-timeout-ms", next());
         else if (arg == "--max-conns")
-            cfg.maxConnections =
-                std::strtoull(next().c_str(), nullptr, 10);
+            cfg.maxConnections = tools::parseIntFlag<std::size_t>(
+                "--max-conns", next());
         else if (arg == "--metrics-port")
-            cfg.metricsPort = std::atoi(next().c_str());
+            cfg.metricsPort = tools::parseIntFlag<int>(
+                "--metrics-port", next(), -1, 65535);
         else if (arg == "--metrics-port-file")
             metrics_port_file = next();
         else if (arg == "--telemetry-out")

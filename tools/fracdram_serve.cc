@@ -56,6 +56,7 @@
 #include <string>
 
 #include "common/logging.hh"
+#include "int_flag.hh"
 #include "service/server.hh"
 #include "telemetry/report.hh"
 
@@ -105,52 +106,56 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--port")
-            cfg.port = static_cast<std::uint16_t>(
-                std::strtoul(next().c_str(), nullptr, 10));
+            cfg.port = tools::parseIntFlag<std::uint16_t>("--port", next());
         else if (arg == "--port-file")
             port_file = next();
         else if (arg == "--shards")
-            cfg.numShards = std::atoi(next().c_str());
+            cfg.numShards = tools::parseIntFlag<int>("--shards", next());
         else if (arg == "--reactors")
-            cfg.numReactors = std::atoi(next().c_str());
+            cfg.numReactors =
+                tools::parseIntFlag<int>("--reactors", next());
         else if (arg == "--no-pin")
             cfg.pinThreads = false;
         else if (arg == "--group")
             cfg.shard.group = parseGroup(next());
         else if (arg == "--cols")
-            cfg.shard.colsPerRow = static_cast<std::uint32_t>(
-                std::strtoul(next().c_str(), nullptr, 10));
+            cfg.shard.colsPerRow =
+                tools::parseIntFlag<std::uint32_t>("--cols", next());
         else if (arg == "--max-conns")
-            cfg.maxConnections =
-                std::strtoull(next().c_str(), nullptr, 10);
+            cfg.maxConnections = tools::parseIntFlag<std::size_t>(
+                "--max-conns", next());
         else if (arg == "--max-enrollments")
-            cfg.shard.maxEnrollments =
-                std::strtoull(next().c_str(), nullptr, 10);
+            cfg.shard.maxEnrollments = tools::parseIntFlag<std::size_t>(
+                "--max-enrollments", next());
         else if (arg == "--rate-limit")
             cfg.rateLimitPerConn = std::atof(next().c_str());
         else if (arg == "--telemetry-out")
             telemetry_out = next();
         else if (arg == "--metrics-port")
-            cfg.metricsPort = std::atoi(next().c_str());
+            cfg.metricsPort = tools::parseIntFlag<int>(
+                "--metrics-port", next(), -1, 65535);
         else if (arg == "--metrics-port-file")
             metrics_port_file = next();
         else if (arg == "--slo-p99-us")
-            cfg.sloP99Us =
-                std::strtoull(next().c_str(), nullptr, 10);
+            cfg.sloP99Us = tools::parseIntFlag<std::uint64_t>(
+                "--slo-p99-us", next());
         else if (arg == "--watchdog-interval-ms")
-            cfg.watchdogIntervalMs = std::atoi(next().c_str());
+            cfg.watchdogIntervalMs =
+                tools::parseIntFlag<int>("--watchdog-interval-ms", next());
         else if (arg == "--trace-ring")
-            cfg.traceRingCapacity =
-                std::strtoull(next().c_str(), nullptr, 10);
+            cfg.traceRingCapacity = tools::parseIntFlag<std::size_t>(
+                "--trace-ring", next());
         else if (arg == "--history-res-ms")
-            cfg.historyResMs = std::atoi(next().c_str());
+            cfg.historyResMs =
+                tools::parseIntFlag<int>("--history-res-ms", next());
         else if (arg == "--history-points")
-            cfg.historyPoints =
-                std::strtoull(next().c_str(), nullptr, 10);
+            cfg.historyPoints = tools::parseIntFlag<std::size_t>(
+                "--history-points", next());
         else if (arg == "--postmortem-dir")
             cfg.postmortemDir = next();
         else if (arg == "--stall-intervals")
-            cfg.stallIntervals = std::atoi(next().c_str());
+            cfg.stallIntervals =
+                tools::parseIntFlag<int>("--stall-intervals", next());
         else if (arg == "--quiet")
             quiet = true;
         else

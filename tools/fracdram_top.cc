@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "int_flag.hh"
 #include "service/http.hh"
 
 using namespace fracdram;
@@ -302,12 +303,13 @@ main(int argc, char **argv)
         if (arg == "--host")
             opt.host = next();
         else if (arg == "--port")
-            opt.port = static_cast<std::uint16_t>(
-                std::strtoul(next().c_str(), nullptr, 10));
+            opt.port = tools::parseIntFlag<std::uint16_t>("--port", next());
         else if (arg == "--interval-ms")
-            opt.intervalMs = std::atoi(next().c_str());
+            opt.intervalMs =
+                tools::parseIntFlag<int>("--interval-ms", next());
         else if (arg == "--iterations")
-            opt.iterations = std::atol(next().c_str());
+            opt.iterations =
+                tools::parseIntFlag<long>("--iterations", next());
         else if (arg == "--no-clear")
             opt.noClear = true;
         else
